@@ -25,15 +25,12 @@ from .ghcsort import ghc_sort, merge, merge_round, multiset_equal, split_and_nor
 from .instrument import Tally
 from .monotonic import CutReport, check_cutpoints, compute_cutpoints, is_monotonic, oracle_cutpoints
 from .parallel import (
-    AllocationPlan,
     AllocationPolicy,
     ExplorationReport,
-    StealProtocol,
     TransitionSystem,
     build_model,
     explore,
     multiply_parallel,
-    plan_allocation,
 )
 from .propcheck import CaseRng, GenConfig, PropertyResult, gen_coo, gen_sequence, run_suite
 from .properties import PROPERTY_NAMES, REGISTRY

@@ -5,8 +5,10 @@ Two verification layers for the same loop:
 * ``multiply_parallel`` runs real threads under pluggable work
   allocation policies. Workers share the read-only inputs, accumulate
   into private partial vectors, and a join barrier precedes a merge in
-  worker-id order, so the result is race-free by construction and
-  bit-identical to the sequential product.
+  worker-id order, so the result is race-free by construction: whenever
+  it and ``multiply_seq`` both return, they are equal. Under claimed
+  policies a worker's partial sums depend on the schedule, so an
+  intermediate sum near 2^63 can overflow in one run and not in another.
 
 * ``build_model``/``explore`` abstract the loop body ``y[c] += x[r]*v``
   into atomic actions and enumerate every interleaving of a small
@@ -24,20 +26,23 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DimensionError, ModelTooLargeError
-from .spmv import INT64_MAX, INT64_MIN, CooMatrix, multiply_seq
+from .spmv import INT64_MAX, INT64_MIN, CooMatrix, accumulate, multiply_seq
 
 __all__ = [
+    "MAX_WORKERS",
     "SYNC_MODES",
-    "AllocationPlan",
     "AllocationPolicy",
     "ExplorationReport",
-    "StealProtocol",
     "TransitionSystem",
     "build_model",
     "explore",
     "multiply_parallel",
-    "plan_allocation",
 ]
+
+# Hard cap on threads per product; it covers the 64-triplet maximum of
+# ``propcheck.gen_coo``, so per_element still runs one thread per triplet
+# on every property input.
+MAX_WORKERS = 64
 
 SYNC_MODES = ("atomic_rmw", "lock_per_cell", "none_split_rw")
 
@@ -65,144 +70,82 @@ class AllocationPolicy:
         return cls("dynamic_stealing", workers)
 
 
-@dataclass(frozen=True)
-class StealProtocol:
-    """Plan-level description of the stealing discipline."""
-
-    granularity: int
-    victim: str
+def _check_workers(workers: Optional[int]) -> int:
+    if workers is None or not 1 <= workers <= MAX_WORKERS:
+        raise ConfigError(f"need 1 to {MAX_WORKERS} workers, got {workers}")
+    return workers
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
-    """Partition of triplet indices, one set per worker.
-
-    ``steal`` is present only for dynamic_stealing: the assignments are
-    then the initial partition and the protocol describes how idle
-    workers rebalance (granularity 1, always from the worker with the
-    most remaining items).
-    """
-
-    assignments: tuple[frozenset[int], ...]
-    steal: Optional[StealProtocol] = None
-
-
-def _chunk_sets(nnz: int, workers: int) -> tuple[frozenset[int], ...]:
+def _chunks(nnz: int, workers: int) -> list[range]:
+    """Contiguous ranges covering 0..nnz-1 in order, sizes differing by at
+    most one; surplus workers get empty ranges."""
     q, rem = divmod(nnz, workers)
-    sets = []
-    start = 0
-    for w in range(workers):
-        size = q + 1 if w < rem else q
-        sets.append(frozenset(range(start, start + size)))
-        start += size
-    return tuple(sets)
-
-
-def plan_allocation(policy: AllocationPolicy, nnz: int) -> AllocationPlan:
-    """Partition {0..nnz-1} according to the policy.
-
-    per_element: nnz singletons. static_chunks: contiguous ranges whose
-    sizes differ by at most one; surplus workers get empty sets.
-    dynamic_stealing: the static partition as a starting point plus a
-    steal protocol descriptor.
-    """
-    if nnz < 0:
-        raise ConfigError(f"triplet count must be nonnegative, got {nnz}")
-    if policy.kind == "per_element":
-        return AllocationPlan(tuple(frozenset((i,)) for i in range(nnz)))
-    if policy.kind not in ("static_chunks", "dynamic_stealing"):
-        raise ConfigError(f"unknown allocation policy kind {policy.kind!r}")
-    workers = policy.workers
-    if workers is None or workers < 1:
-        raise ConfigError(f"{policy.kind} needs at least one worker, got {workers}")
-    sets = _chunk_sets(nnz, workers)
-    if policy.kind == "dynamic_stealing":
-        return AllocationPlan(sets, StealProtocol(granularity=1, victim="max_remaining"))
-    return AllocationPlan(sets)
-
-
-def _accumulate(
-    partial: list[int], x: Sequence[int], entry: tuple[int, int, int]
-) -> None:
-    r, c, v = entry
-    p = x[r] * v
-    if not INT64_MIN <= p <= INT64_MAX:
-        raise OverflowError(f"product at ({r + 1},{c + 1}) overflows 64 bits")
-    t = partial[c] + p
-    if not INT64_MIN <= t <= INT64_MAX:
-        raise OverflowError(f"partial sum at column {c + 1} overflows 64 bits")
-    partial[c] = t
+    bounds = [w * q + min(w, rem) for w in range(workers + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 class _ClaimCounter:
-    """Shared index dispenser; every index is claimed exactly once."""
+    """Shared index dispenser: hands out 0..limit-1 exactly once each,
+    then ``limit`` to every later claim, so ``iter(claim, limit)`` ends
+    in every worker."""
 
-    def __init__(self) -> None:
+    def __init__(self, limit: int) -> None:
         self._next = 0
+        self._limit = limit
         self._lock = threading.Lock()
 
     def claim(self) -> int:
         with self._lock:
             i = self._next
-            self._next += 1
+            if i < self._limit:
+                self._next = i + 1
             return i
 
 
 def multiply_parallel(
     x: Sequence[int], m: CooMatrix, policy: AllocationPolicy
 ) -> list[int]:
-    """Multiply with real threads; equals multiply_seq on every schedule.
+    """Multiply with real threads; whenever this and ``multiply_seq`` both
+    return, their results are equal.
 
     Each worker accumulates into a private length-C vector; after all
-    workers join, partials are merged in worker-id order. Dynamic
-    stealing runs ``policy.workers`` threads that claim one triplet at a
-    time from a shared counter.
+    workers join, partials are merged in worker-id order. static_chunks
+    gives each of ``policy.workers`` threads one contiguous slice of the
+    triplets. dynamic_stealing runs ``policy.workers`` threads, and
+    per_element ``min(nnz, MAX_WORKERS)``, that claim one triplet at a
+    time from a shared counter; there a partial sum near the int64 limit
+    may overflow under one schedule and not under another.
     """
     if len(x) != m.rows:
         raise DimensionError(f"vector length {len(x)} != matrix rows {m.rows}")
     entries = m.entries
     nnz = len(entries)
 
-    if policy.kind == "dynamic_stealing":
-        workers = policy.workers
-        if workers is None or workers < 1:
-            raise ConfigError(f"dynamic_stealing needs at least one worker, got {workers}")
-        partials = [[0] * m.cols for _ in range(workers)]
-        counter = _ClaimCounter()
-        failures: list[Optional[BaseException]] = [None] * workers
-
-        def run_stealing(wid: int) -> None:
-            partial = partials[wid]
-            try:
-                while True:
-                    i = counter.claim()
-                    if i >= nnz:
-                        return
-                    _accumulate(partial, x, entries[i])
-            except BaseException as exc:  # propagated after the join
-                failures[wid] = exc
-
-        threads = [
-            threading.Thread(target=run_stealing, args=(wid,)) for wid in range(workers)
-        ]
+    if policy.kind == "per_element":
+        workers = min(nnz, MAX_WORKERS)
+    elif policy.kind in ("static_chunks", "dynamic_stealing"):
+        workers = _check_workers(policy.workers)
     else:
-        plan = plan_allocation(policy, nnz)
-        partials = [[0] * m.cols for _ in range(len(plan.assignments))]
-        failures = [None] * len(plan.assignments)
+        raise ConfigError(f"unknown allocation policy kind {policy.kind!r}")
 
-        def run_static(wid: int, indices: list[int]) -> None:
-            partial = partials[wid]
-            try:
-                for i in indices:
-                    _accumulate(partial, x, entries[i])
-            except BaseException as exc:
-                failures[wid] = exc
-
-        threads = [
-            threading.Thread(target=run_static, args=(wid, sorted(assignment)))
-            for wid, assignment in enumerate(plan.assignments)
+    if policy.kind == "static_chunks":
+        tasks = [entries[r.start : r.stop] for r in _chunks(nnz, workers)]
+    else:
+        counter = _ClaimCounter(nnz)
+        tasks = [
+            map(entries.__getitem__, iter(counter.claim, nnz)) for _ in range(workers)
         ]
 
+    partials = [[0] * m.cols for _ in range(workers)]
+    failures: list[Optional[BaseException]] = [None] * workers
+
+    def run(wid: int) -> None:
+        try:
+            accumulate(partials[wid], x, tasks[wid])
+        except BaseException as exc:  # propagated after the join
+            failures[wid] = exc
+
+    threads = [threading.Thread(target=run, args=(wid,)) for wid in range(workers)]
     for t in threads:
         t.start()
     for t in threads:
@@ -247,8 +190,7 @@ def build_model(
     """
     if sync_mode not in SYNC_MODES:
         raise ConfigError(f"unknown sync mode {sync_mode!r}")
-    if workers < 1:
-        raise ConfigError(f"need at least one worker, got {workers}")
+    _check_workers(workers)
     if len(x) != m.rows:
         raise DimensionError(f"vector length {len(x)} != matrix rows {m.rows}")
     nnz = len(m.entries)
@@ -256,17 +198,13 @@ def build_model(
         raise ModelTooLargeError(
             f"{nnz} triplets exceed the model cap of {max_triplets}"
         )
-    plan = plan_allocation(AllocationPolicy.static_chunks(workers), nnz)
-    sequential = tuple(multiply_seq(x, m))
+    sequential = tuple(multiply_seq(x, m))  # raises on any int64 overflow
 
     worker_actions = []
-    for assignment in plan.assignments:
+    for chunk in _chunks(nnz, workers):
         actions: list[tuple[int, int, int]] = []
-        for i in sorted(assignment):
-            r, c, v = m.entries[i]
+        for r, c, v in m.entries[chunk.start : chunk.stop]:
             delta = x[r] * v
-            if not INT64_MIN <= delta <= INT64_MAX:
-                raise OverflowError(f"product at ({r + 1},{c + 1}) overflows 64 bits")
             if sync_mode == "atomic_rmw":
                 actions.append((_ADD, c, delta))
             elif sync_mode == "lock_per_cell":

@@ -25,6 +25,7 @@ __all__ = [
     "INT64_MIN",
     "CooMatrix",
     "DenseMatrix",
+    "accumulate",
     "coo_from_text",
     "coo_from_triplets",
     "coo_to_text",
@@ -140,8 +141,22 @@ def multiply_seq(
     if len(x) != m.rows:
         raise DimensionError(f"vector length {len(x)} != matrix rows {m.rows}")
     y = [0] * m.cols
-    ops = m.cols
-    for r, c, v in m.entries:
+    accumulate(y, x, m.entries)
+    if tally is not None:
+        tally.element_ops += m.cols + len(m.entries)
+    return y
+
+
+def accumulate(
+    y: list[int], x: Sequence[int], triplets: Iterable[tuple[int, int, int]]
+) -> None:
+    """Add ``x[r] * v`` into ``y[c]`` for each 0-based triplet, in order.
+
+    The product kernel shared by ``multiply_seq`` and every worker of
+    ``parallel.multiply_parallel``. Raises OverflowError when a product
+    or a running sum leaves the signed 64-bit range.
+    """
+    for r, c, v in triplets:
         p = x[r] * v
         if not INT64_MIN <= p <= INT64_MAX:
             raise OverflowError(f"product at ({r + 1},{c + 1}) overflows 64 bits")
@@ -149,10 +164,6 @@ def multiply_seq(
         if not INT64_MIN <= t <= INT64_MAX:
             raise OverflowError(f"sum at column {c + 1} overflows 64 bits")
         y[c] = t
-        ops += 1
-    if tally is not None:
-        tally.element_ops += ops
-    return y
 
 
 def oracle_multiply_dense(x: Sequence[int], d: DenseMatrix) -> list[int]:

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from oraclekit import parallel
 from oraclekit.cli import run_cli
 
 PINNED_SEQ = "4 7 8 1 2 3 9 5 6\n"
@@ -87,6 +88,23 @@ def test_spmv_policies_agree(ones_file, coo_file, capsys):
 
 def test_spmv_rejects_bad_policy(ones_file, coo_file, capsys):
     code, _, err = run(capsys, "spmv", ones_file, coo_file, "--policy", "magic")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_worker_cap_exits_2_without_threads(
+    tmp_path, ones_file, coo_file, capsys, monkeypatch
+):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(parallel.threading, "Thread", no_threads)
+    code, _, err = run(capsys, "spmv", ones_file, coo_file, "--policy", "chunks:65")
+    assert code == 2 and err.startswith("error:")
+    vec = tmp_path / "x.txt"
+    vec.write_text("1 1\n")
+    mat = tmp_path / "m.coo"
+    mat.write_text("2 1 2\n1 1 1\n2 1 2\n")
+    code, _, err = run(capsys, "explore", str(vec), str(mat), "--workers", "65")
     assert code == 2 and err.startswith("error:")
 
 

@@ -1,13 +1,18 @@
+import sys
+import threading
+
 import pytest
 
+from oraclekit import parallel
 from oraclekit.errors import ConfigError, DimensionError, ModelTooLargeError
 from oraclekit.parallel import (
+    MAX_WORKERS,
     AllocationPolicy,
     TransitionSystem,
+    _chunks,
     build_model,
     explore,
     multiply_parallel,
-    plan_allocation,
 )
 from oraclekit.propcheck import GenConfig, gen_coo
 from oraclekit.spmv import INT64_MAX, coo_from_triplets, multiply_seq
@@ -15,39 +20,66 @@ from oraclekit.spmv import INT64_MAX, coo_from_triplets, multiply_seq
 _ACQUIRE = 1  # opcode used when hand-building explorer inputs
 
 
-def test_per_element_plan():
-    plan = plan_allocation(AllocationPolicy.per_element(), 4)
-    assert plan.assignments == tuple(frozenset((i,)) for i in range(4))
-    assert plan.steal is None
+def test_chunks_are_balanced_disjoint_and_covering():
+    for nnz, workers, sizes in ((8, 3, [3, 3, 2]), (2, 5, [1, 1, 0, 0, 0])):
+        chunks = _chunks(nnz, workers)
+        assert [len(r) for r in chunks] == sizes  # sizes differ by at most one
+        flat = [i for r in chunks for i in r]
+        assert flat == list(range(nnz))  # disjoint, covering, in order
 
 
-def test_static_chunks_plan():
-    plan = plan_allocation(AllocationPolicy.static_chunks(3), 8)
-    sizes = [len(a) for a in plan.assignments]
-    assert sizes == [3, 3, 2]  # sizes differ by at most one
-    covered = set().union(*plan.assignments)
-    assert covered == set(range(8))
-    assert sum(sizes) == 8  # disjoint and complete
-    # surplus workers receive empty assignments
-    plan = plan_allocation(AllocationPolicy.static_chunks(5), 2)
-    assert [len(a) for a in plan.assignments] == [1, 1, 0, 0, 0]
+def test_policy_validation():
+    m = coo_from_triplets(1, 1, [(1, 1, 1)])
+    for policy in (
+        AllocationPolicy.static_chunks(0),
+        AllocationPolicy.dynamic_stealing(0),
+        AllocationPolicy("bogus"),
+        AllocationPolicy.static_chunks(MAX_WORKERS + 1),
+        AllocationPolicy.dynamic_stealing(MAX_WORKERS + 1),
+    ):
+        with pytest.raises(ConfigError):
+            multiply_parallel([1], m, policy)
 
 
-def test_dynamic_plan_carries_protocol():
-    plan = plan_allocation(AllocationPolicy.dynamic_stealing(2), 5)
-    assert [len(a) for a in plan.assignments] == [3, 2]
-    assert plan.steal is not None
-    assert plan.steal.granularity == 1
-    assert plan.steal.victim == "max_remaining"
+def test_per_element_threads_are_bounded(monkeypatch):
+    created = []
+
+    class CountingThread(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    triplets = [(r, c, r + c) for r in range(1, 21) for c in range(1, 11)]
+    m = coo_from_triplets(20, 10, triplets)
+    x = list(range(1, 21))
+    monkeypatch.setattr(parallel.threading, "Thread", CountingThread)
+    got = multiply_parallel(x, m, AllocationPolicy.per_element())
+    assert len(m.entries) == 200
+    assert 0 < len(created) <= MAX_WORKERS
+    assert got == multiply_seq(x, m)
 
 
-def test_plan_validation():
-    with pytest.raises(ConfigError):
-        plan_allocation(AllocationPolicy.static_chunks(0), 3)
-    with pytest.raises(ConfigError):
-        plan_allocation(AllocationPolicy("bogus"), 3)
-    with pytest.raises(ConfigError):
-        plan_allocation(AllocationPolicy.per_element(), -1)
+def test_claim_counter_under_contention():
+    # More workers than cores and a short switch interval, so claims
+    # interleave densely; a double or skipped claim changes the sum.
+    nnz = 20_000
+    m = coo_from_triplets(nnz, 1, [(r, 1, 1) for r in range(1, nnz + 1)])
+    got = []
+    runner = threading.Thread(
+        target=lambda: got.append(
+            multiply_parallel([1] * nnz, m, AllocationPolicy.dynamic_stealing(8))
+        ),
+        daemon=True,
+    )
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not runner.is_alive()
+    assert got == [[nnz]]
 
 
 def test_parallel_equals_sequential_across_policies():
@@ -95,6 +127,8 @@ def test_model_validation():
         build_model([1], m, 1, "fence")
     with pytest.raises(ConfigError):
         build_model([1], m, 0, "atomic_rmw")
+    with pytest.raises(ConfigError):
+        build_model([1], m, MAX_WORKERS + 1, "atomic_rmw")
     with pytest.raises(DimensionError):
         build_model([1, 2], m, 1, "atomic_rmw")
     with pytest.raises(ModelTooLargeError):
