@@ -124,12 +124,14 @@ def check_ansv(s: Sequence[int], a: NeighborArray) -> AnsvReport:
     value_ok: every present neighbor holds a strictly smaller value.
     smallest_ok: no index between the neighbor (exclusive) and the owner
     holds a smaller value. Evaluated by direct scan, independent of the
-    stack algorithm.
+    stack algorithm. An array of the wrong length fails all three flags.
     """
     if a.direction != "left":
         raise ValueError("check_ansv checks left arrays; mirror the sequence for right")
     n = len(s)
     nb = a.neighbors
+    if len(nb) != n:
+        return AnsvReport(index_ok=False, value_ok=False, smallest_ok=False)
 
     index_ok = True
     for i in range(n):

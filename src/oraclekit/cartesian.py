@@ -96,10 +96,12 @@ def in_order(t: CartesianTree) -> list[int]:
     """Symmetric traversal emitting node indices.
 
     Iterative so degenerate chains cannot overflow the call stack.
-    Raises MalformedTreeError on cycles, out-of-range links, or nodes
-    unreachable from the root (detected by visit counting).
+    Raises MalformedTreeError on arrays of unequal length, cycles,
+    out-of-range links, or unreachable nodes (found by visit counting).
     """
     n = len(t.parent)
+    if len(t.left_child) != n or len(t.right_child) != n:
+        raise MalformedTreeError("parent and child arrays differ in length")
     if n == 0:
         if t.root is not None:
             raise MalformedTreeError("empty tree cannot have a root")
@@ -219,31 +221,27 @@ def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:
 
 
 def oracle_tree(s: Sequence[int]) -> CartesianTree:
-    """Reference tree by recursive minimum splitting.
+    """Reference tree by minimum splitting.
 
     The minimum of a range is its subtree root; left and right
-    sub-ranges build the subtrees. Independent of the neighbor-array
-    path; equals build_tree on every distinct-valued input because the
-    Cartesian tree is unique.
+    sub-ranges build the subtrees. Pending ranges sit on an explicit
+    stack, so no input size hits the recursion limit. Independent of the
+    neighbor-array path; equals build_tree on every distinct-valued
+    input because the Cartesian tree is unique.
     """
     _require_distinct(s)
-    n = len(s)
-    parent: list[Optional[int]] = [None] * n
-
-    def build(lo: int, hi: int) -> Optional[int]:
-        if lo >= hi:
-            return None
-        m = lo
-        for i in range(lo + 1, hi):
-            if s[i] < s[m]:
-                m = i
-        l = build(lo, m)
-        r = build(m + 1, hi)
-        if l is not None:
-            parent[l] = m
-        if r is not None:
-            parent[r] = m
-        return m
-
-    root = build(0, n)
+    parent: list[Optional[int]] = [None] * len(s)
+    # Pending (lo, hi, parent of the range's minimum; None for the root).
+    stack: list[tuple[int, int, Optional[int]]] = [(0, len(s), None)]
+    while stack:
+        lo, hi, above = stack.pop()
+        if lo < hi:
+            m = lo
+            for i in range(lo + 1, hi):
+                if s[i] < s[m]:
+                    m = i
+            parent[m] = above
+            stack.append((lo, m, m))
+            stack.append((m + 1, hi, m))
+    root = min(range(len(s)), key=s.__getitem__, default=None)
     return _links_from_parent(parent, root)

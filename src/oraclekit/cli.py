@@ -12,18 +12,15 @@ property fails, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from typing import Optional, Sequence
 
 from . import ansv, cartesian, ghcsort, monotonic, parallel, properties, propcheck, spmv
 from .errors import ConfigError, OracleKitError
 from .propcheck import GenConfig
-from .spmv import INT64_MAX, INT64_MIN, CooMatrix
+from .spmv import DECIMAL_RE, INT64_MAX, INT64_MIN, CooMatrix
 
 __all__ = ["main", "run_cli"]
-
-_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def _bool(flag: bool) -> str:
@@ -42,7 +39,7 @@ def _load_sequence(path: str) -> list[int]:
     """Whitespace-separated signed decimals; empty file = empty sequence."""
     out = []
     for tok in _read_text(path).split():
-        if not _INT_RE.fullmatch(tok):
+        if not DECIMAL_RE.fullmatch(tok):
             raise OracleKitError(
                 f"sequence token {tok!r} is not a signed decimal integer"
             )

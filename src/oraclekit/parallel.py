@@ -3,7 +3,9 @@
 Two verification layers for the same loop:
 
 * ``multiply_parallel`` runs real threads under pluggable work
-  allocation policies. Workers share the read-only inputs, accumulate
+  allocation policies. Its workers run on one process-wide pool of at
+  most ``MAX_WORKERS`` (64) threads, started on first use and reused by
+  every later call. Workers share the read-only inputs, accumulate
   into private partial vectors, and a join barrier precedes a merge in
   worker-id order, so the result is race-free by construction: whenever
   it and ``multiply_seq`` both return, they are equal. Under claimed
@@ -22,6 +24,7 @@ Two verification layers for the same loop:
 from __future__ import annotations
 
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -39,10 +42,14 @@ __all__ = [
     "multiply_parallel",
 ]
 
-# Hard cap on threads per product; it covers the 64-triplet maximum of
-# ``propcheck.gen_coo``, so per_element still runs one thread per triplet
+# Hard cap on workers per product; it covers the 64-triplet maximum of
+# ``propcheck.gen_coo``, so per_element still runs one worker per triplet
 # on every property input.
 MAX_WORKERS = 64
+_MAX_MODEL_TRIPLETS = 32  # largest triplet count ``build_model`` abstracts
+
+# Every product's workers run here; threads start on first use and stay.
+_POOL = ThreadPoolExecutor(MAX_WORKERS)
 
 SYNC_MODES = ("atomic_rmw", "lock_per_cell", "none_split_rw")
 
@@ -108,10 +115,11 @@ def multiply_parallel(
     """Multiply with real threads; whenever this and ``multiply_seq`` both
     return, their results are equal.
 
-    Each worker accumulates into a private length-C vector; after all
-    workers join, partials are merged in worker-id order. static_chunks
-    gives each of ``policy.workers`` threads one contiguous slice of the
-    triplets. dynamic_stealing runs ``policy.workers`` threads, and
+    Each worker is one pool task accumulating into a private length-C
+    vector; once all have finished, the first failure in worker-id order
+    is raised, else partials are merged in worker-id order. static_chunks
+    gives each of ``policy.workers`` workers one contiguous slice of the
+    triplets. dynamic_stealing runs ``policy.workers`` workers, and
     per_element ``min(nnz, MAX_WORKERS)``, that claim one triplet at a
     time from a shared counter; there a partial sum near the int64 limit
     may overflow under one schedule and not under another.
@@ -137,22 +145,10 @@ def multiply_parallel(
         ]
 
     partials = [[0] * m.cols for _ in range(workers)]
-    failures: list[Optional[BaseException]] = [None] * workers
-
-    def run(wid: int) -> None:
-        try:
-            accumulate(partials[wid], x, tasks[wid])
-        except BaseException as exc:  # propagated after the join
-            failures[wid] = exc
-
-    threads = [threading.Thread(target=run, args=(wid,)) for wid in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
+    futures = [_POOL.submit(accumulate, p, x, t) for p, t in zip(partials, tasks)]
+    wait(futures)  # the join barrier: every worker finishes before any raise
+    for f in futures:
+        f.result()  # re-raises the first worker failure in worker-id order
 
     y = [0] * m.cols
     for partial in partials:
@@ -175,11 +171,7 @@ class TransitionSystem:
 
 
 def build_model(
-    x: Sequence[int],
-    m: CooMatrix,
-    workers: int,
-    sync_mode: str,
-    max_triplets: int = 32,
+    x: Sequence[int], m: CooMatrix, workers: int, sync_mode: str
 ) -> TransitionSystem:
     """Abstract the multiplication into a transition system.
 
@@ -194,9 +186,9 @@ def build_model(
     if len(x) != m.rows:
         raise DimensionError(f"vector length {len(x)} != matrix rows {m.rows}")
     nnz = len(m.entries)
-    if nnz > max_triplets:
+    if nnz > _MAX_MODEL_TRIPLETS:
         raise ModelTooLargeError(
-            f"{nnz} triplets exceed the model cap of {max_triplets}"
+            f"{nnz} triplets exceed the model cap of {_MAX_MODEL_TRIPLETS}"
         )
     sequential = tuple(multiply_seq(x, m))  # raises on any int64 overflow
 

@@ -115,8 +115,10 @@ def gen_sequence(cfg: GenConfig, case_index: int) -> list[int]:
     return [rng.next_int(lo, hi) for _ in range(n)]
 
 
-# COO values stay inside +/-2^20 so row sums cannot approach 64 bits.
+# COO values stay inside +/-2^20 so row sums cannot approach 64 bits;
+# dimensions stay at most 8, which keeps every matrix at most 64 triplets.
 _COO_CAP = 1 << 20
+_COO_MAX_DIM = 8
 
 
 def _clamped(rng: CaseRng, lo: int, hi: int) -> int:
@@ -126,17 +128,15 @@ def _clamped(rng: CaseRng, lo: int, hi: int) -> int:
     return v
 
 
-def gen_coo(
-    cfg: GenConfig, case_index: int, max_dim: int = 8
-) -> tuple[list[int], CooMatrix]:
+def gen_coo(cfg: GenConfig, case_index: int) -> tuple[list[int], CooMatrix]:
     """A random vector and compatible sparse matrix.
 
-    Dimensions are in [1, min(max_len, max_dim)]; density is drawn from
+    Dimensions are in [1, min(max_len, 8)]; density is drawn from
     10-50 percent with stochastic rounding so tiny matrices still get
     occasional entries.
     """
     rng = CaseRng(cfg.seed, case_index)
-    dim_cap = max(1, min(cfg.max_len, max_dim))
+    dim_cap = max(1, min(cfg.max_len, _COO_MAX_DIM))
     rows = rng.next_int(1, dim_cap)
     cols = rng.next_int(1, dim_cap)
     pct = rng.next_int(10, 50)

@@ -14,6 +14,7 @@ makes the parallel equivalence checks in ``parallel`` decidable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -21,6 +22,7 @@ from .errors import BoundsError, DimensionError, OrderError, ZeroEntryError
 from .instrument import Tally
 
 __all__ = [
+    "DECIMAL_RE",
     "INT64_MAX",
     "INT64_MIN",
     "CooMatrix",
@@ -38,6 +40,9 @@ __all__ = [
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
+
+# The one token grammar of both file formats (sequence and COO matrix).
+DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def _check64(v: int, what: str) -> int:
@@ -191,17 +196,22 @@ def oracle_multiply_dense(x: Sequence[int], d: DenseMatrix) -> list[int]:
 def coo_from_text(text: str) -> CooMatrix:
     """Parse the COO file format: header ``R C NNZ``, then NNZ ``r c v`` lines.
 
-    Tokens are ASCII decimals separated by arbitrary whitespace; the
-    triplets must already be sorted. Raises kit errors naming the
-    violated rule.
+    Tokens are ASCII signed decimals (``DECIMAL_RE``) separated by any
+    whitespace; the triplets must already be sorted. Raises kit errors
+    naming the violated rule.
     """
+    if not text.isascii():
+        raise OrderError("matrix text is not ASCII")
     tokens = text.split()
     if len(tokens) < 3:
         raise OrderError("header must be three integers: R C NNZ")
     try:
+        if "_" in text:  # int() alone would also read "1_0" as 10
+            raise ValueError
         numbers = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise OrderError(f"non-integer token in matrix file: {exc}") from None
+    except ValueError:
+        bad = next(t for t in tokens if not DECIMAL_RE.fullmatch(t))
+        raise OrderError(f"matrix token {bad!r} is not a signed decimal integer") from None
     rows, cols, nnz = numbers[0], numbers[1], numbers[2]
     if nnz < 0:
         raise OrderError(f"declared triplet count {nnz} is negative")

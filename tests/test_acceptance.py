@@ -36,7 +36,8 @@ from oraclekit.spmv import (
 
 # Instance count for the real-thread criterion-5 suite: 4 policies x
 # 100 repetitions per instance, sized to sit far inside the 300 s
-# budget on commodity CPython (measured ~48 ms per instance).
+# budget on commodity CPython (measured 57-75 ms per instance on 2 vCPUs,
+# CPython 3.11).
 PARALLEL_INSTANCES = 1000
 
 ANSV_SEQ = [4, 7, 8, 1, 2, 3, 9, 5, 6]

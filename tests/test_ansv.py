@@ -104,6 +104,10 @@ def test_check_flags_each_defect():
     missed = ansv.NeighborArray((None, None, None), "left")
     r = check_ansv(s, missed)
     assert r.index_ok and r.value_ok and not r.smallest_ok
+    # a wrong-length array fails every flag instead of raising
+    for nb in ((None,), (None, None, 1, None)):
+        r = check_ansv(s, ansv.NeighborArray(nb, "left"))
+        assert not (r.index_ok or r.value_ok or r.smallest_ok)
     assert check_ansv(s, good).all_ok()
 
 

@@ -1,3 +1,4 @@
+import sys
 from itertools import permutations
 
 import pytest
@@ -53,6 +54,11 @@ def test_duplicates_rejected():
         oracle_tree([3, 3])
 
 
+def test_oracle_handles_inputs_beyond_the_recursion_limit():
+    s = list(range(sys.getrecursionlimit() + 500))  # a chain of right children
+    assert oracle_tree(s) == build_tree(s)
+
+
 def test_matches_oracle_all_small_permutations():
     for n in range(7):
         for perm in permutations(range(1, n + 1)):
@@ -94,6 +100,12 @@ def test_binary_check_catches_inconsistent_links():
         root=1,
     )
     assert not check_tree(s, broken).binary_ok
+    # child arrays shorter than the parent array: flags, not IndexError
+    short = CartesianTree((None, 1), (), (), 0)
+    with pytest.raises(MalformedTreeError):
+        in_order(short)
+    r = check_tree([1, 2], short)
+    assert not (r.binary_ok or r.heap_ok or r.traversal_ok)
 
 
 def test_traversal_rejects_cycle():

@@ -94,10 +94,10 @@ def test_spmv_rejects_bad_policy(ones_file, coo_file, capsys):
 def test_worker_cap_exits_2_without_threads(
     tmp_path, ones_file, coo_file, capsys, monkeypatch
 ):
-    def no_threads(*args, **kwargs):
-        raise AssertionError("a thread was started")
+    def no_submit(*args, **kwargs):
+        raise AssertionError("a worker was submitted")
 
-    monkeypatch.setattr(parallel.threading, "Thread", no_threads)
+    monkeypatch.setattr(parallel._POOL, "submit", no_submit)
     code, _, err = run(capsys, "spmv", ones_file, coo_file, "--policy", "chunks:65")
     assert code == 2 and err.startswith("error:")
     vec = tmp_path / "x.txt"
@@ -176,6 +176,11 @@ def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "spmv", str(dup), str(hdr))
     assert code == 2
 
+    underscore = tmp_path / "underscore.coo"
+    underscore.write_text("1 1 1\n1 1 1_0\n")
+    code, out, err = run(capsys, "spmv", str(dup), str(underscore))
+    assert code == 2 and out == "" and "'1_0'" in err
+
     huge = tmp_path / "huge.txt"
     huge.write_text(str(1 << 63) + "\n")
     code, _, err = run(capsys, "cutpoints", str(huge))
@@ -214,3 +219,15 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "0 2 4 6 7"
+
+
+def test_idle_pool_does_not_block_exit(ones_file, coo_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "oraclekit", "spmv", "--policy", "steal:2"]
+        + [ones_file, coo_file],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "5 11 1 0\n"

@@ -15,7 +15,7 @@ from oraclekit.parallel import (
     multiply_parallel,
 )
 from oraclekit.propcheck import GenConfig, gen_coo
-from oraclekit.spmv import INT64_MAX, coo_from_triplets, multiply_seq
+from oraclekit.spmv import INT64_MAX, accumulate, coo_from_triplets, multiply_seq
 
 _ACQUIRE = 1  # opcode used when hand-building explorer inputs
 
@@ -42,20 +42,21 @@ def test_policy_validation():
 
 
 def test_per_element_threads_are_bounded(monkeypatch):
-    created = []
+    # One accumulate call per worker and partial vector, so the count of
+    # calls is the worker count whichever pool thread runs them.
+    partials = []
 
-    class CountingThread(threading.Thread):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            created.append(self)
+    def counting_accumulate(y, x, triplets):
+        partials.append(y)
+        accumulate(y, x, triplets)
 
     triplets = [(r, c, r + c) for r in range(1, 21) for c in range(1, 11)]
     m = coo_from_triplets(20, 10, triplets)
     x = list(range(1, 21))
-    monkeypatch.setattr(parallel.threading, "Thread", CountingThread)
+    monkeypatch.setattr(parallel, "accumulate", counting_accumulate)
     got = multiply_parallel(x, m, AllocationPolicy.per_element())
     assert len(m.entries) == 200
-    assert 0 < len(created) <= MAX_WORKERS
+    assert 0 < len(partials) <= MAX_WORKERS
     assert got == multiply_seq(x, m)
 
 
@@ -105,6 +106,10 @@ def test_parallel_propagates_worker_errors():
     m = coo_from_triplets(1, 1, [(1, 1, INT64_MAX)])
     with pytest.raises(OverflowError):
         multiply_parallel([2], m, AllocationPolicy.per_element())
+    # Both chunks overflow; the failure raised is worker 0's.
+    both = coo_from_triplets(2, 2, [(1, 1, INT64_MAX), (2, 2, INT64_MAX)])
+    with pytest.raises(OverflowError, match=r"\(1,1\)"):
+        multiply_parallel([2, 2], both, AllocationPolicy.static_chunks(2))
     with pytest.raises(DimensionError):
         multiply_parallel([1, 2], m, AllocationPolicy.static_chunks(2))
     with pytest.raises(ConfigError):
@@ -131,8 +136,10 @@ def test_model_validation():
         build_model([1], m, MAX_WORKERS + 1, "atomic_rmw")
     with pytest.raises(DimensionError):
         build_model([1, 2], m, 1, "atomic_rmw")
+    big = coo_from_triplets(3, 11, [(r, c, 1) for r in (1, 2, 3) for c in range(1, 12)])
+    assert len(big.entries) == 33
     with pytest.raises(ModelTooLargeError):
-        build_model([1], m, 1, "atomic_rmw", max_triplets=0)
+        build_model([1, 1, 1], big, 1, "atomic_rmw")
 
 
 def test_synchronized_models_match_sequential():

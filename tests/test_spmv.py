@@ -117,6 +117,11 @@ def test_text_parse_errors():
         coo_from_text("2 2 1\n1 1 5\n2 2 7\n")  # body longer than header claims
     with pytest.raises(OrderError):
         coo_from_text("2 2 1\n1 1 5 9\n")
+    # int() alone reads these as 10 and 1; the file format does not
+    with pytest.raises(OrderError, match="'1_0'"):
+        coo_from_text("1 1 1\n1 1 1_0\n")
+    with pytest.raises(OrderError):
+        coo_from_text("1 1 1\n1 1 \u0661\n")  # ARABIC-INDIC DIGIT ONE
 
 
 def test_matches_dense_oracle_on_generated_cases():
