@@ -12,13 +12,15 @@ property fails, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
+from itertools import islice
 from typing import Optional, Sequence
 
 from . import ansv, cartesian, ghcsort, monotonic, parallel, properties, propcheck, spmv
-from .errors import ConfigError, OracleKitError
+from .errors import ConfigError, OracleKitError, OrderError
 from .propcheck import GenConfig
-from .spmv import DECIMAL_RE, INT64_MAX, INT64_MIN, CooMatrix
+from .spmv import INT64_MAX, INT64_MIN, CooMatrix
 
 __all__ = ["main", "run_cli"]
 
@@ -36,18 +38,24 @@ def _read_text(path: str) -> str:
 
 
 def _load_sequence(path: str) -> list[int]:
-    """Whitespace-separated signed decimals; empty file = empty sequence."""
-    out = []
-    for tok in _read_text(path).split():
-        if not DECIMAL_RE.fullmatch(tok):
+    """Whitespace-separated signed 64-bit decimals; empty file = empty sequence."""
+    text = _read_text(path)
+    try:
+        out = spmv._decimals(text, "sequence")
+    except OrderError:
+        pass  # a range error earlier in the file is named first, below
+    else:
+        if not out or INT64_MIN <= min(out) and max(out) <= INT64_MAX:
+            return out
+    for tok in text.split():  # error path: name the first bad token or value
+        if not spmv.DECIMAL_RE.fullmatch(tok):
             raise OracleKitError(
                 f"sequence token {tok!r} is not a signed decimal integer"
             )
         v = int(tok)
         if not INT64_MIN <= v <= INT64_MAX:
             raise OracleKitError(f"sequence value {v} does not fit in 64 bits")
-        out.append(v)
-    return out
+    raise AssertionError("unreachable: the bulk parse failed on a valid file")
 
 
 def _load_coo(path: str) -> CooMatrix:
@@ -100,7 +108,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     print(" ".join(map(str, out)))
     if not args.verify:
         return 0
-    is_sorted = all(out[i] <= out[i + 1] for i in range(len(out) - 1))
+    is_sorted = all(map(operator.le, out, islice(out, 1, None)))
     is_perm = ghcsort.multiset_equal(out, s)
     print(f"sorted {_bool(is_sorted)}")
     print(f"permutation {_bool(is_perm)}")

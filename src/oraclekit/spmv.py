@@ -45,6 +45,26 @@ INT64_MAX = (1 << 63) - 1
 DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
 
 
+def _decimals(text: str, what: str) -> list[int]:
+    """The whitespace-separated ``DECIMAL_RE`` tokens of ``text`` as ints.
+
+    Converts in one C-level pass; the per-token regex runs only after
+    that fails, to name the first bad token in the OrderError.
+    """
+    if not text.isascii():
+        raise OrderError(f"{what} text is not ASCII")
+    tokens = text.split()
+    try:
+        if "_" in text:  # int() alone would also read "1_0" as 10
+            raise ValueError
+        return list(map(int, tokens))
+    except ValueError:
+        bad = next((t for t in tokens if not DECIMAL_RE.fullmatch(t)), None)
+        if bad is None:  # a decimal longer than int()'s digit limit
+            raise
+        raise OrderError(f"{what} token {bad!r} is not a signed decimal integer") from None
+
+
 def _check64(v: int, what: str) -> int:
     if not INT64_MIN <= v <= INT64_MAX:
         raise OverflowError(f"{what} {v} outside signed 64-bit range")
@@ -200,28 +220,18 @@ def coo_from_text(text: str) -> CooMatrix:
     whitespace; the triplets must already be sorted. Raises kit errors
     naming the violated rule.
     """
-    if not text.isascii():
-        raise OrderError("matrix text is not ASCII")
-    tokens = text.split()
-    if len(tokens) < 3:
+    # Rule order: ASCII, then a three-token header, then each token.
+    if text.isascii() and len(text.split(maxsplit=2)) < 3:
         raise OrderError("header must be three integers: R C NNZ")
-    try:
-        if "_" in text:  # int() alone would also read "1_0" as 10
-            raise ValueError
-        numbers = [int(t) for t in tokens]
-    except ValueError:
-        bad = next(t for t in tokens if not DECIMAL_RE.fullmatch(t))
-        raise OrderError(f"matrix token {bad!r} is not a signed decimal integer") from None
-    rows, cols, nnz = numbers[0], numbers[1], numbers[2]
+    numbers = _decimals(text, "matrix")
+    rows, cols, nnz = numbers[:3]
     if nnz < 0:
         raise OrderError(f"declared triplet count {nnz} is negative")
-    body = numbers[3:]
-    if len(body) != 3 * nnz:
+    if len(numbers) - 3 != 3 * nnz:
         raise OrderError(
-            f"expected {3 * nnz} integers after the header, found {len(body)}"
+            f"expected {3 * nnz} integers after the header, found {len(numbers) - 3}"
         )
-    triplets = [(body[i], body[i + 1], body[i + 2]) for i in range(0, len(body), 3)]
-    return coo_from_triplets(rows, cols, triplets)
+    return coo_from_triplets(rows, cols, zip(numbers[3::3], numbers[4::3], numbers[5::3]))
 
 
 def coo_to_text(m: CooMatrix) -> str:

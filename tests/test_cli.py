@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from oraclekit import parallel
+from oraclekit import parallel, spmv
 from oraclekit.cli import run_cli
+from oraclekit.spmv import INT64_MAX, INT64_MIN
 
 PINNED_SEQ = "4 7 8 1 2 3 9 5 6\n"
 PINNED_COO = "4 4 4\n1 3 1\n2 1 5\n2 2 8\n4 2 3\n"
@@ -185,6 +186,61 @@ def test_input_errors_exit_2(tmp_path, capsys):
     huge.write_text(str(1 << 63) + "\n")
     code, _, err = run(capsys, "cutpoints", str(huge))
     assert code == 2 and "64 bits" in err
+
+
+@pytest.mark.parametrize(
+    "text, out",
+    [
+        (f"{INT64_MAX} {INT64_MIN}\n", f"{INT64_MIN} {INT64_MAX}\n"),
+        ("+5\t007\n-3\x0b2\x0c1", "-3 1 2 5 7\n"),
+        (" \t\n\x0b\x0c\r\n", "\n"),  # whitespace only: the empty sequence
+    ],
+)
+def test_sequence_file_grammar(tmp_path, capsys, text, out):
+    p = tmp_path / "s.txt"
+    p.write_text(text)
+    assert run(capsys, "sort", str(p)) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        (str(INT64_MAX + 1), f"sequence value {INT64_MAX + 1} does not fit in 64 bits"),
+        (f"1 {INT64_MIN - 1}", f"sequence value {INT64_MIN - 1} does not fit in 64 bits"),
+        ("3 1_0 2", "sequence token '1_0' is not a signed decimal integer"),
+        # the first bad token or value in file order wins, whichever kind it is
+        (f"{10**20} abc", f"sequence value {10**20} does not fit in 64 bits"),
+        (f"abc {10**20}", "sequence token 'abc' is not a signed decimal integer"),
+    ],
+)
+def test_sequence_file_errors_name_the_first_bad_token(tmp_path, capsys, text, err):
+    p = tmp_path / "s.txt"
+    p.write_text(text + "\n")
+    assert run(capsys, "cutpoints", str(p)) == (2, "", f"error: {err}\n")
+
+
+class RegexReached(Exception):
+    pass
+
+
+class ExplodingRegex:
+    def fullmatch(self, token):
+        raise RegexReached(token)
+
+
+def test_valid_files_parse_without_the_token_regex(
+    tmp_path, seq_file, ones_file, coo_file, capsys, monkeypatch
+):
+    """Only an invalid file may pay for the per-token regex."""
+    monkeypatch.setattr(spmv, "DECIMAL_RE", ExplodingRegex())
+    assert run(capsys, "sort", seq_file)[:2] == (0, "1 2 3 4 5 6 7 8 9\n")
+    assert run(capsys, "spmv", ones_file, coo_file)[:2] == (0, "5 11 1 0\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 two 3\n")
+    with pytest.raises(RegexReached):
+        run_cli(["sort", str(bad)])
+    with pytest.raises(RegexReached):
+        spmv.coo_from_text("1 1 1\n1 1 one\n")
 
 
 def test_usage_errors_exit_2(capsys):

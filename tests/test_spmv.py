@@ -100,6 +100,11 @@ def test_text_round_trip():
     assert coo_from_text(text) == m
     # arbitrary whitespace is fine
     assert coo_from_text("4  4 4\n\n 1 3 1\n2 1 5\n2 2 8\n\t4 2 3\n") == m
+    # larger than gen_coo's 8x8, values near both ends of the 64-bit range
+    cells = [(r, c) for r in range(1, 41) for c in range(1, 51, 2)]
+    big = coo_from_triplets(40, 50, [(r, c, (-1) ** r * (2**62 + c)) for r, c in cells])
+    assert len(big.entries) == 1000
+    assert coo_from_text(coo_to_text(big)) == big
 
 
 def test_text_parse_errors():
@@ -111,9 +116,9 @@ def test_text_parse_errors():
         coo_from_text("2 2 one\n")
     with pytest.raises(OrderError):
         coo_from_text("2 2 -1\n")
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match="expected 6 integers after the header, found 3$"):
         coo_from_text("2 2 2\n1 1 5\n")  # body shorter than header claims
-    with pytest.raises(OrderError):
+    with pytest.raises(OrderError, match="expected 3 integers after the header, found 6$"):
         coo_from_text("2 2 1\n1 1 5\n2 2 7\n")  # body longer than header claims
     with pytest.raises(OrderError):
         coo_from_text("2 2 1\n1 1 5 9\n")
@@ -122,6 +127,9 @@ def test_text_parse_errors():
         coo_from_text("1 1 1\n1 1 1_0\n")
     with pytest.raises(OrderError):
         coo_from_text("1 1 1\n1 1 \u0661\n")  # ARABIC-INDIC DIGIT ONE
+    # triplet 2 is out of bounds and triplet 3 out of order: the first is named
+    with pytest.raises(BoundsError, match=r"^triplet \(3,1\) outside 1\.\.2 x 1\.\.2$"):
+        coo_from_text("2 2 3\n1 2 1\n3 1 1\n1 1 1\n")
 
 
 def test_matches_dense_oracle_on_generated_cases():
