@@ -12,15 +12,13 @@ property fails, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
-import operator
 import sys
-from itertools import islice
 from typing import Optional, Sequence
 
 from . import ansv, cartesian, ghcsort, monotonic, parallel, properties, propcheck, spmv
-from .errors import ConfigError, OracleKitError, OrderError
+from .errors import ConfigError, OracleKitError
 from .propcheck import GenConfig
-from .spmv import INT64_MAX, INT64_MIN, CooMatrix
+from .spmv import CooMatrix
 
 __all__ = ["main", "run_cli"]
 
@@ -40,22 +38,10 @@ def _read_text(path: str) -> str:
 def _load_sequence(path: str) -> list[int]:
     """Whitespace-separated signed 64-bit decimals; empty file = empty sequence."""
     text = _read_text(path)
-    try:
-        out = spmv._decimals(text, "sequence")
-    except OrderError:
-        pass  # a range error earlier in the file is named first, below
-    else:
-        if not out or INT64_MIN <= min(out) and max(out) <= INT64_MAX:
-            return out
-    for tok in text.split():  # error path: name the first bad token or value
-        if not spmv.DECIMAL_RE.fullmatch(tok):
-            raise OracleKitError(
-                f"sequence token {tok!r} is not a signed decimal integer"
-            )
-        v = int(tok)
-        if not INT64_MIN <= v <= INT64_MAX:
-            raise OracleKitError(f"sequence value {v} does not fit in 64 bits")
-    raise AssertionError("unreachable: the bulk parse failed on a valid file")
+    out = spmv._decimals(text, "sequence")
+    if not spmv._fits64(out):  # name the first bad value in file order
+        spmv._reject_first_bad(text.split(), "sequence")
+    return out
 
 
 def _load_coo(path: str) -> CooMatrix:
@@ -108,7 +94,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     print(" ".join(map(str, out)))
     if not args.verify:
         return 0
-    is_sorted = all(map(operator.le, out, islice(out, 1, None)))
+    is_sorted = ghcsort.is_sorted(out)
     is_perm = ghcsort.multiset_equal(out, s)
     print(f"sorted {_bool(is_sorted)}")
     print(f"permutation {_bool(is_perm)}")

@@ -9,7 +9,9 @@ is made beyond that.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
+from itertools import islice
 from typing import Sequence
 
 from .errors import UnsortedInputError
@@ -17,6 +19,7 @@ from .monotonic import compute_cutpoints
 
 __all__ = [
     "ghc_sort",
+    "is_sorted",
     "merge",
     "merge_round",
     "multiset_equal",
@@ -43,10 +46,9 @@ def split_and_normalize(s: Sequence[int]) -> list[list[int]]:
     return segments
 
 
-def _require_sorted(seq: Sequence[int], which: str) -> None:
-    for i in range(1, len(seq)):
-        if seq[i - 1] > seq[i]:
-            raise UnsortedInputError(f"{which} input to merge is not sorted")
+def is_sorted(seq: Sequence[int]) -> bool:
+    """True when ``seq`` is nondecreasing (vacuously when shorter than 2)."""
+    return all(map(operator.le, seq, islice(seq, 1, None)))
 
 
 def merge(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -55,8 +57,9 @@ def merge(a: Sequence[int], b: Sequence[int]) -> list[int]:
     On equal heads the element of ``b`` is taken first. Inputs are
     validated (UnsortedInputError) and never mutated.
     """
-    _require_sorted(a, "first")
-    _require_sorted(b, "second")
+    for seq, which in ((a, "first"), (b, "second")):
+        if not is_sorted(seq):
+            raise UnsortedInputError(f"{which} input to merge is not sorted")
     merged: list[int] = []
     x, y = 0, 0
     la, lb = len(a), len(b)

@@ -9,9 +9,7 @@ class Tally:
 
     comparisons: element-to-element comparisons performed.
     pops: stack pops performed.
-    element_ops: per-element arithmetic/write steps performed.
     """
 
     comparisons: int = 0
     pops: int = 0
-    element_ops: int = 0

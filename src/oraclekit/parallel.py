@@ -23,13 +23,14 @@ Two verification layers for the same loop:
 
 from __future__ import annotations
 
+import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DimensionError, ModelTooLargeError
-from .spmv import INT64_MAX, INT64_MIN, CooMatrix, accumulate, multiply_seq
+from .spmv import CooMatrix, _check64, _fits64, accumulate, multiply_seq
 
 __all__ = [
     "MAX_WORKERS",
@@ -152,11 +153,10 @@ def multiply_parallel(
 
     y = [0] * m.cols
     for partial in partials:
-        for c in range(m.cols):
-            t = y[c] + partial[c]
-            if not INT64_MIN <= t <= INT64_MAX:
-                raise OverflowError(f"merged sum at column {c + 1} overflows 64 bits")
-            y[c] = t
+        y = list(map(operator.add, y, partial))
+        if not _fits64(y):  # name the first overflow in worker, then column, order
+            for c, t in enumerate(y, 1):
+                _check64(t, f"column {c} merged sum")
     return y
 
 

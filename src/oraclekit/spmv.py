@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from .errors import BoundsError, DimensionError, OrderError, ZeroEntryError
-from .instrument import Tally
 
 __all__ = [
     "DECIMAL_RE",
@@ -46,29 +45,44 @@ DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def _decimals(text: str, what: str) -> list[int]:
-    """The whitespace-separated ``DECIMAL_RE`` tokens of ``text`` as ints.
-
-    Converts in one C-level pass; the per-token regex runs only after
-    that fails, to name the first bad token in the OrderError.
-    """
+    """The whitespace-separated ``DECIMAL_RE`` tokens of ``text`` as ints,
+    converted in one C-level pass; ``_reject_first_bad`` runs if that fails."""
     if not text.isascii():
         raise OrderError(f"{what} text is not ASCII")
     tokens = text.split()
     try:
-        if "_" in text:  # int() alone would also read "1_0" as 10
-            raise ValueError
-        return list(map(int, tokens))
+        if "_" not in text:  # int() alone would also read "1_0" as 10
+            return list(map(int, tokens))
     except ValueError:
-        bad = next((t for t in tokens if not DECIMAL_RE.fullmatch(t)), None)
-        if bad is None:  # a decimal longer than int()'s digit limit
-            raise
-        raise OrderError(f"{what} token {bad!r} is not a signed decimal integer") from None
+        pass
+    _reject_first_bad(tokens, what)
+
+
+def _reject_first_bad(tokens: Iterable[str], what: str) -> NoReturn:
+    """Raise for the first token in file order that is not a decimal, has
+    more digits than ``int()`` converts (leading zeros count), or is
+    outside int64: the error path of both file formats' bulk parse."""
+    for tok in tokens:
+        if not DECIMAL_RE.fullmatch(tok):
+            raise OrderError(f"{what} token {tok!r} is not a signed decimal integer")
+        try:
+            v = int(tok)
+        except ValueError:  # over int()'s digit limit; never print the token
+            n = len(tok.lstrip("+-"))
+            raise OrderError(f"{what} token of {n} digits is too long") from None
+        _check64(v, f"{what} value")
+    raise AssertionError("unreachable: every token is a 64-bit decimal")
 
 
 def _check64(v: int, what: str) -> int:
     if not INT64_MIN <= v <= INT64_MAX:
-        raise OverflowError(f"{what} {v} outside signed 64-bit range")
+        raise OverflowError(f"{what} {v} does not fit in 64 bits")
     return v
+
+
+def _fits64(values: list[int]) -> bool:
+    """The bulk form of ``_check64``: every value is in int64."""
+    return not values or (INT64_MIN <= min(values) and max(values) <= INT64_MAX)
 
 
 @dataclass(frozen=True)
@@ -155,20 +169,16 @@ def from_dense(d: DenseMatrix) -> CooMatrix:
     return CooMatrix(d.rows, d.cols, tuple(entries))
 
 
-def multiply_seq(
-    x: Sequence[int], m: CooMatrix, tally: Optional[Tally] = None
-) -> list[int]:
+def multiply_seq(x: Sequence[int], m: CooMatrix) -> list[int]:
     """Multiply vector ``x`` (length R) with ``m``; returns y of length C.
 
-    One accumulation per stored triplet, so element operations are at
-    most ``len(entries) + C`` (counted into ``tally.element_ops``).
+    One accumulation per stored triplet, so the work is
+    ``len(entries) + C`` element steps.
     """
     if len(x) != m.rows:
         raise DimensionError(f"vector length {len(x)} != matrix rows {m.rows}")
     y = [0] * m.cols
     accumulate(y, x, m.entries)
-    if tally is not None:
-        tally.element_ops += m.cols + len(m.entries)
     return y
 
 

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import oraclekit
 from oraclekit import parallel, spmv
 from oraclekit.cli import run_cli
 from oraclekit.spmv import INT64_MAX, INT64_MIN
@@ -30,6 +33,20 @@ def ones_file(tmp_path):
     p = tmp_path / "ones.txt"
     p.write_text("1 1 1 1\n")
     return str(p)
+
+
+def run_module(*argv, **kwargs):
+    """``python -m oraclekit`` in a child process that imports the same
+    package as this one, installed or not."""
+    src = str(Path(oraclekit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "oraclekit", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
 
 
 def run(capsys, *argv):
@@ -219,6 +236,20 @@ def test_sequence_file_errors_name_the_first_bad_token(tmp_path, capsys, text, e
     assert run(capsys, "cutpoints", str(p)) == (2, "", f"error: {err}\n")
 
 
+@pytest.mark.parametrize("digits", ["7" * 5000, "0" * 5000], ids=["sevens", "zeros"])
+def test_over_long_tokens_exit_2(tmp_path, capsys, ones_file, digits):
+    seq = tmp_path / "long.txt"
+    seq.write_text(f"1 {digits} 2\n")
+    assert run(capsys, "cutpoints", str(seq)) == (
+        2, "", "error: sequence token of 5000 digits is too long\n"
+    )
+    coo = tmp_path / "long.coo"
+    coo.write_text(f"1 1 1\n1 1 -{digits}\n")
+    assert run(capsys, "spmv", ones_file, str(coo)) == (
+        2, "", "error: matrix token of 5000 digits is too long\n"
+    )
+
+
 class RegexReached(Exception):
     pass
 
@@ -268,22 +299,12 @@ def test_output_is_byte_stable(seq_file, capsys):
 def test_console_script_entry_point(tmp_path):
     p = tmp_path / "s.txt"
     p.write_text("6 3 4 2 5 3 7\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "oraclekit", "cutpoints", str(p)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("cutpoints", str(p))
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "0 2 4 6 7"
 
 
 def test_idle_pool_does_not_block_exit(ones_file, coo_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "oraclekit", "spmv", "--policy", "steal:2"]
-        + [ones_file, coo_file],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_module("spmv", "--policy", "steal:2", ones_file, coo_file, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "5 11 1 0\n"

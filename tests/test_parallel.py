@@ -116,6 +116,15 @@ def test_parallel_propagates_worker_errors():
         multiply_parallel([1], m, AllocationPolicy.dynamic_stealing(0))
 
 
+def test_merge_checks_every_step_in_worker_order():
+    # Partials 0 and 1 sum to 2^63 although the exact total, 2^62, fits.
+    m = coo_from_triplets(3, 1, [(1, 1, 2**62), (2, 1, 2**62), (3, 1, -(2**62))])
+    with pytest.raises(OverflowError, match=r"\bcolumn 1\b"):
+        multiply_parallel([1, 1, 1], m, AllocationPolicy.static_chunks(3))
+    with pytest.raises(OverflowError, match=r"\bcolumn 1\b"):
+        multiply_seq([1, 1, 1], m)
+
+
 def test_model_action_shapes():
     m = coo_from_triplets(2, 2, [(1, 1, 3), (2, 2, 4)])
     flat = lambda ts: sum(len(a) for a in ts.worker_actions)

@@ -3,6 +3,7 @@ import pytest
 from oraclekit.errors import (
     BoundsError,
     DimensionError,
+    OracleKitError,
     OrderError,
     ZeroEntryError,
 )
@@ -130,6 +131,25 @@ def test_text_parse_errors():
     # triplet 2 is out of bounds and triplet 3 out of order: the first is named
     with pytest.raises(BoundsError, match=r"^triplet \(3,1\) outside 1\.\.2 x 1\.\.2$"):
         coo_from_text("2 2 3\n1 2 1\n3 1 1\n1 1 1\n")
+
+
+def test_text_errors_name_the_first_bad_token_or_value():
+    # an out-of-range value before a bad token is named first, as in sequence files
+    with pytest.raises(OverflowError, match=f"^matrix value {10**20} does not fit in 64 bits$"):
+        coo_from_text(f"2 2 2\n1 1 {10**20}\n2 2 x\n")
+    with pytest.raises(OrderError, match="^matrix token 'x' is not a signed decimal integer$"):
+        coo_from_text(f"2 2 2\n1 1 x\n2 2 {10**20}\n")
+    with pytest.raises(OverflowError, match=f"^triplet value {10**20} does not fit in 64 bits$"):
+        coo_from_text(f"1 1 1\n1 1 {10**20}\n")
+
+
+@pytest.mark.parametrize("digits", ["9" * 5000, "0" * 5000], ids=["nines", "zeros"])
+def test_over_long_tokens_are_kit_errors(digits):
+    for text in (f"1 1 1\n1 1 {digits}\n", f"{digits} 1 0\n"):
+        with pytest.raises((OverflowError, OracleKitError)) as info:
+            coo_from_text(text)
+        assert not isinstance(info.value, ValueError)
+        assert str(info.value) == "matrix token of 5000 digits is too long"
 
 
 def test_matches_dense_oracle_on_generated_cases():
