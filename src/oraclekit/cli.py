@@ -44,10 +44,6 @@ def _load_sequence(path: str) -> list[int]:
     return out
 
 
-def _load_coo(path: str) -> CooMatrix:
-    return spmv.coo_from_text(_read_text(path))
-
-
 def _parse_policy(text: str) -> Optional[parallel.AllocationPolicy]:
     """seq, per-element, chunks:N, or steal:N; None means sequential."""
     if text == "seq":
@@ -77,13 +73,8 @@ def _cmd_cutpoints(args: argparse.Namespace) -> int:
     cut = monotonic.compute_cutpoints(s)
     report = monotonic.check_cutpoints(s, cut)
     print(" ".join(map(str, cut)))
-    for key in (
-        "non_empty",
-        "begin_to_end",
-        "within_bounds",
-        "monotonic",
-        "right_maximal",
-    ):
+    keys = ("non_empty", "begin_to_end", "within_bounds", "monotonic", "right_maximal")
+    for key in keys:
         print(f"{key} {_bool(getattr(report, key))}")
     return 0 if report.all_ok() else 1
 
@@ -103,10 +94,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 def _cmd_ansv(args: argparse.Namespace) -> int:
     s = _load_sequence(args.file)
-    if args.dir == "left":
-        arr = ansv.left_neighbors(s)
-    else:
-        arr = ansv.right_neighbors(s)
+    arr = ansv.left_neighbors(s) if args.dir == "left" else ansv.right_neighbors(s)
     print(_one_based(arr.neighbors))
     return 0
 
@@ -123,7 +111,7 @@ def _cmd_cartesian(args: argparse.Namespace) -> int:
 
 def _cmd_spmv(args: argparse.Namespace) -> int:
     x = _load_sequence(args.vector)
-    m = _load_coo(args.matrix)
+    m = spmv.coo_from_text(_read_text(args.matrix))
     policy = _parse_policy(args.policy)
     if policy is None:
         y = spmv.multiply_seq(x, m)
@@ -135,7 +123,7 @@ def _cmd_spmv(args: argparse.Namespace) -> int:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     x = _load_sequence(args.vector)
-    m = _load_coo(args.matrix)
+    m = spmv.coo_from_text(_read_text(args.matrix))
     ts = parallel.build_model(x, m, args.workers, args.sync)
     report = parallel.explore(ts, max_states=args.max_states)
     print(f"states_visited {report.states_visited}")

@@ -10,7 +10,6 @@ is made beyond that.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from itertools import islice
 from typing import Sequence
 
@@ -105,5 +104,5 @@ def ghc_sort(s: Sequence[int]) -> list[int]:
 
 def multiset_equal(a: Sequence[int], b: Sequence[int]) -> bool:
     """True when ``a`` and ``b`` contain the same values with the same
-    multiplicities."""
-    return Counter(a) == Counter(b)
+    multiplicities, i.e. equal sorted copies (builtin sort, not ``ghc_sort``)."""
+    return sorted(a) == sorted(b)

@@ -127,8 +127,8 @@ def multiply_parallel(
     """
     if len(x) != m.rows:
         raise DimensionError(f"vector length {len(x)} != matrix rows {m.rows}")
-    entries = m.entries
-    nnz = len(entries)
+    rs, cs, vs = m.row_idx, m.col_idx, m.vals
+    nnz = len(vs)
 
     if policy.kind == "per_element":
         workers = min(nnz, MAX_WORKERS)
@@ -138,11 +138,15 @@ def multiply_parallel(
         raise ConfigError(f"unknown allocation policy kind {policy.kind!r}")
 
     if policy.kind == "static_chunks":
-        tasks = [entries[r.start : r.stop] for r in _chunks(nnz, workers)]
+        tasks = [
+            zip(rs[k.start : k.stop], cs[k.start : k.stop], vs[k.start : k.stop])
+            for k in _chunks(nnz, workers)
+        ]
     else:
         counter = _ClaimCounter(nnz)
         tasks = [
-            map(entries.__getitem__, iter(counter.claim, nnz)) for _ in range(workers)
+            map(lambda k: (rs[k], cs[k], vs[k]), iter(counter.claim, nnz))
+            for _ in range(workers)
         ]
 
     partials = [[0] * m.cols for _ in range(workers)]
@@ -185,18 +189,19 @@ def build_model(
     _check_workers(workers)
     if len(x) != m.rows:
         raise DimensionError(f"vector length {len(x)} != matrix rows {m.rows}")
-    nnz = len(m.entries)
+    nnz = len(m.vals)
     if nnz > _MAX_MODEL_TRIPLETS:
         raise ModelTooLargeError(
             f"{nnz} triplets exceed the model cap of {_MAX_MODEL_TRIPLETS}"
         )
     sequential = tuple(multiply_seq(x, m))  # raises on any int64 overflow
 
+    rs, cs, vs = m.row_idx, m.col_idx, m.vals
     worker_actions = []
     for chunk in _chunks(nnz, workers):
         actions: list[tuple[int, int, int]] = []
-        for r, c, v in m.entries[chunk.start : chunk.stop]:
-            delta = x[r] * v
+        for k in chunk:
+            c, delta = cs[k], x[rs[k]] * vs[k]
             if sync_mode == "atomic_rmw":
                 actions.append((_ADD, c, delta))
             elif sync_mode == "lock_per_cell":

@@ -78,9 +78,7 @@ class GenConfig:
         if self.max_len < 0:
             raise ConfigError(f"max_len must be nonnegative, got {self.max_len}")
         if self.value_lo > self.value_hi:
-            raise ConfigError(
-                f"empty value range [{self.value_lo}, {self.value_hi}]"
-            )
+            raise ConfigError(f"empty value range [{self.value_lo}, {self.value_hi}]")
         if self.cases < 0:
             raise ConfigError(f"cases must be nonnegative, got {self.cases}")
 
@@ -207,9 +205,9 @@ def _coo_candidates(
         if v == 0:
             continue
         out.append((x[:i] + [_halved(v)] + x[i + 1 :], m))
-    if m.rows > 1 and all(r < m.rows - 1 for r, _, _ in m.entries):
+    if m.rows > 1 and max(m.row_idx, default=0) < m.rows - 1:
         out.append((x[:-1], coo_from_triplets(m.rows - 1, m.cols, trips)))
-    if m.cols > 1 and all(c < m.cols - 1 for _, c, _ in m.entries):
+    if m.cols > 1 and max(m.col_idx, default=0) < m.cols - 1:
         out.append((list(x), coo_from_triplets(m.rows, m.cols - 1, trips)))
     return out
 
@@ -305,9 +303,7 @@ def run_suite(
         if name in failures:
             original, shrunk, msg = failures[name]
             example = None if original is None else (original, shrunk)
-            results.append(
-                PropertyResult(name, "fail", cases_ran[name], example, msg)
-            )
+            results.append(PropertyResult(name, "fail", cases_ran[name], example, msg))
         else:
             results.append(PropertyResult(name, "pass", cases_ran[name]))
     return results

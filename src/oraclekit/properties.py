@@ -97,30 +97,16 @@ def _ansv_flag(flag: str) -> Callable:
 
 
 def _ansv_oracle_eq(s, _cfg):
-    left = ansv.left_neighbors(s)
-    want = ansv.oracle_neighbors(s, "left")
-    if left.neighbors != want.neighbors:
-        return f"left neighbors {left.neighbors} != oracle {want.neighbors}"
-    right = ansv.right_neighbors(s)
-    want = ansv.oracle_neighbors(s, "right")
-    if right.neighbors != want.neighbors:
-        return f"right neighbors {right.neighbors} != oracle {want.neighbors}"
+    for side, scan in (("left", ansv.left_neighbors), ("right", ansv.right_neighbors)):
+        got, want = scan(s).neighbors, ansv.oracle_neighbors(s, side).neighbors
+        if got != want:
+            return f"{side} neighbors {got} != oracle {want}"
     return None
-
-
-def _dedupe(s) -> list:
-    seen = set()
-    out = []
-    for v in s:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
 
 
 def _tree_flag(flag: str) -> Callable:
     def check(s, _cfg):
-        t = _dedupe(s)
+        t = list(dict.fromkeys(s))  # first occurrences, in order
         tree = cartesian.build_tree(t)
         report = cartesian.check_tree(t, tree)
         if getattr(report, flag):
@@ -131,7 +117,7 @@ def _tree_flag(flag: str) -> Callable:
 
 
 def _tree_oracle_eq(s, _cfg):
-    t = _dedupe(s)
+    t = list(dict.fromkeys(s))
     got = cartesian.build_tree(t)
     want = cartesian.oracle_tree(t)
     if got == want:

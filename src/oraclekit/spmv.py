@@ -1,10 +1,12 @@
 """COO sparse matrices and sequential vector-matrix multiplication.
 
-A sparse matrix is a strictly (row, column)-sorted list of nonzero
-triplets. Row/column indices are 1-based at the construction and file
-boundary, 0-based internally. The product is vector-times-matrix:
-``y[c] = sum over rows r of x[r] * m[r][c]``, computed by touching only
-the stored triplets.
+A sparse matrix is three parallel arrays of row indices, column indices
+and nonzero values, strictly (row, column)-sorted: the COO format of
+Saad, *Iterative Methods for Sparse Linear Systems* (2nd ed., 2003,
+§3.4). Indices are 1-based at the construction and file boundary,
+0-based internally. Whole-array passes validate input; a per-triplet
+scan runs only to name the first invalid triplet. The product
+``y[c] = sum over rows r of x[r] * m[r][c]`` touches only stored entries.
 
 All arithmetic is exact 64-bit signed: any intermediate product or sum
 outside [-2^63, 2^63 - 1] raises OverflowError instead of wrapping.
@@ -14,8 +16,10 @@ makes the parallel equivalence checks in ``parallel`` decidable.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, NoReturn, Optional, Sequence
 
 from .errors import BoundsError, DimensionError, OrderError, ZeroEntryError
@@ -80,22 +84,26 @@ def _check64(v: int, what: str) -> int:
     return v
 
 
-def _fits64(values: list[int]) -> bool:
+def _fits64(values: Sequence[int]) -> bool:
     """The bulk form of ``_check64``: every value is in int64."""
     return not values or (INT64_MIN <= min(values) and max(values) <= INT64_MAX)
 
 
 @dataclass(frozen=True)
 class CooMatrix:
-    """Validated sparse matrix; ``entries`` are 0-based (r, c, v)."""
+    """Validated sparse matrix in three-array COO form (Saad §3.4): entry k
+    is ``vals[k]`` at 0-based row ``row_idx[k]`` and column ``col_idx[k]``."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, int, int], ...]
+    row_idx: tuple[int, ...]
+    col_idx: tuple[int, ...]
+    vals: tuple[int, ...]
 
     def to_triplets(self) -> list[tuple[int, int, int]]:
-        """Entries in the 1-based boundary convention."""
-        return [(r + 1, c + 1, v) for r, c, v in self.entries]
+        """Entries as (r, c, v) in the 1-based boundary convention."""
+        entries = zip(self.row_idx, self.col_idx, self.vals)
+        return [(r + 1, c + 1, v) for r, c, v in entries]
 
 
 @dataclass(frozen=True)
@@ -115,9 +123,31 @@ def coo_from_triplets(
     Triplets must be strictly sorted by (row, column), which also rules
     out duplicates, with in-range indices and nonzero 64-bit values.
     """
+    ts = list(triplets)  # unpacking keeps non-triplets a ValueError
+    rs, cs, vs = [r for r, _, _ in ts], [c for _, c, _ in ts], [v for _, _, v in ts]
+    return _coo(rows, cols, rs, cs, vs)
+
+
+def _coo(
+    rows: int, cols: int, rs: Sequence[int], cs: Sequence[int], vs: Sequence[int]
+) -> CooMatrix:
+    """Build a CooMatrix from parallel 1-based rows, columns and values after
+    whole-array checks; ``_reject_first_bad_triplet`` runs only if one fails."""
     if rows < 1 or cols < 1:
         raise DimensionError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    entries: list[tuple[int, int, int]] = []
+    if vs and not (
+        1 <= min(cs) <= max(cs) <= cols and 0 not in vs and _fits64(vs)
+        and all(map(operator.lt, zip(rs, cs), islice(zip(rs, cs), 1, None)))
+        and 1 <= rs[0] and rs[-1] <= rows  # bounds every row once the order holds
+    ):
+        _reject_first_bad_triplet(rows, cols, zip(rs, cs, vs))
+    r0, c0 = tuple([r - 1 for r in rs]), tuple([c - 1 for c in cs])
+    return CooMatrix(rows, cols, r0, c0, tuple(vs))
+
+
+def _reject_first_bad_triplet(rows: int, cols: int, triplets: Iterable) -> NoReturn:
+    """Raise for the first triplet, in order, that is out of bounds, zero,
+    outside int64 or not strictly after its predecessor: ``_coo``'s error path."""
     prev: Optional[tuple[int, int]] = None
     for r, c, v in triplets:
         if not (1 <= r <= rows and 1 <= c <= cols):
@@ -130,8 +160,7 @@ def coo_from_triplets(
                 f"triplet ({r},{c}) not strictly after ({prev[0]},{prev[1]})"
             )
         prev = (r, c)
-        entries.append((r - 1, c - 1, v))
-    return CooMatrix(rows, cols, tuple(entries))
+    raise AssertionError("unreachable: every triplet is valid")
 
 
 def dense_from_rows(rows_of_values: Sequence[Sequence[int]]) -> DenseMatrix:
@@ -153,32 +182,29 @@ def dense_from_rows(rows_of_values: Sequence[Sequence[int]]) -> DenseMatrix:
 def to_dense(m: CooMatrix) -> DenseMatrix:
     """Expand a sparse matrix to its explicit grid."""
     grid = [[0] * m.cols for _ in range(m.rows)]
-    for r, c, v in m.entries:
+    for r, c, v in zip(m.row_idx, m.col_idx, m.vals):
         grid[r][c] = v
     return DenseMatrix(m.rows, m.cols, tuple(tuple(row) for row in grid))
 
 
 def from_dense(d: DenseMatrix) -> CooMatrix:
     """Collect nonzero cells of a grid; inverse of ``to_dense``."""
-    entries = [
-        (r, c, d.cells[r][c])
-        for r in range(d.rows)
-        for c in range(d.cols)
-        if d.cells[r][c] != 0
+    nonzeros = [
+        (r, c, v) for r, row in enumerate(d.cells) for c, v in enumerate(row) if v
     ]
-    return CooMatrix(d.rows, d.cols, tuple(entries))
+    return CooMatrix(d.rows, d.cols, *(tuple(zip(*nonzeros)) or ((), (), ())))
 
 
 def multiply_seq(x: Sequence[int], m: CooMatrix) -> list[int]:
     """Multiply vector ``x`` (length R) with ``m``; returns y of length C.
 
     One accumulation per stored triplet, so the work is
-    ``len(entries) + C`` element steps.
+    ``nnz + C`` element steps.
     """
     if len(x) != m.rows:
         raise DimensionError(f"vector length {len(x)} != matrix rows {m.rows}")
     y = [0] * m.cols
-    accumulate(y, x, m.entries)
+    accumulate(y, x, zip(m.row_idx, m.col_idx, m.vals))
     return y
 
 
@@ -241,11 +267,11 @@ def coo_from_text(text: str) -> CooMatrix:
         raise OrderError(
             f"expected {3 * nnz} integers after the header, found {len(numbers) - 3}"
         )
-    return coo_from_triplets(rows, cols, zip(numbers[3::3], numbers[4::3], numbers[5::3]))
+    return _coo(rows, cols, numbers[3::3], numbers[4::3], numbers[5::3])
 
 
 def coo_to_text(m: CooMatrix) -> str:
     """Serialize to the COO file format; inverse of ``coo_from_text``."""
-    lines = [f"{m.rows} {m.cols} {len(m.entries)}"]
+    lines = [f"{m.rows} {m.cols} {len(m.vals)}"]
     lines.extend(f"{r} {c} {v}" for r, c, v in m.to_triplets())
     return "\n".join(lines) + "\n"

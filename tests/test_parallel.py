@@ -55,7 +55,7 @@ def test_per_element_threads_are_bounded(monkeypatch):
     x = list(range(1, 21))
     monkeypatch.setattr(parallel, "accumulate", counting_accumulate)
     got = multiply_parallel(x, m, AllocationPolicy.per_element())
-    assert len(m.entries) == 200
+    assert len(m.vals) == 200
     assert 0 < len(partials) <= MAX_WORKERS
     assert got == multiply_seq(x, m)
 
@@ -146,7 +146,7 @@ def test_model_validation():
     with pytest.raises(DimensionError):
         build_model([1, 2], m, 1, "atomic_rmw")
     big = coo_from_triplets(3, 11, [(r, c, 1) for r in (1, 2, 3) for c in range(1, 12)])
-    assert len(big.entries) == 33
+    assert len(big.vals) == 33
     with pytest.raises(ModelTooLargeError):
         build_model([1, 1, 1], big, 1, "atomic_rmw")
 

@@ -71,7 +71,7 @@ def test_gen_coo_reproducible_and_well_formed():
         assert x == x2 and m == m2
         assert 1 <= m.rows <= 8 and 1 <= m.cols <= 8  # dims capped at 8
         assert len(x) == m.rows
-        assert all(abs(v) <= 1 << 20 and v != 0 for _, _, v in m.entries)
+        assert all(abs(v) <= 1 << 20 and v != 0 for v in m.vals)
         multiply_seq(x, m)  # never overflows by construction
 
 
@@ -94,7 +94,7 @@ def test_shrink_sequence_identity_when_already_minimal():
 def test_shrink_coo_drops_and_halves():
     def fails(value):
         x, m = value
-        return any(c == 0 for _, c, _ in m.entries)
+        return 0 in m.col_idx
 
     cfg = GenConfig(seed=5, max_len=20)
     for i in range(50):
@@ -103,9 +103,9 @@ def test_shrink_coo_drops_and_halves():
             continue
         sx, sm = shrink_coo((x, m), fails)
         assert fails((sx, sm))
-        assert len(sm.entries) == 1 and abs(sm.entries[0][2]) == 1
+        assert len(sm.vals) == 1 and abs(sm.vals[0]) == 1
         assert sm.cols == 1  # unused trailing columns dropped
-        assert sm.rows == sm.entries[0][0] + 1  # rows above the entry dropped
+        assert sm.rows == sm.row_idx[0] + 1  # rows above the entry dropped
         assert all(v == 0 for v in sx)
         break
     else:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from oraclekit import spmv
 from oraclekit.errors import (
     BoundsError,
     DimensionError,
@@ -11,6 +14,7 @@ from oraclekit.propcheck import GenConfig, gen_coo
 from oraclekit.spmv import (
     INT64_MAX,
     INT64_MIN,
+    CooMatrix,
     coo_from_text,
     coo_from_triplets,
     coo_to_text,
@@ -68,6 +72,20 @@ def test_construction_validation():
         coo_from_triplets(2, 2, [(1, 1, 1), (1, 1, 2)])  # duplicate cell
     with pytest.raises(OverflowError):
         coo_from_triplets(1, 1, [(1, 1, 1 << 63)])
+    with pytest.raises(ValueError):
+        coo_from_triplets(2, 2, [(1, 1, 5), (2, 2, 7, 9)])  # not a triplet
+    with pytest.raises(ValueError):
+        coo_from_triplets(2, 2, [(1, 1)])
+
+
+def test_constructors_agree_on_the_three_arrays():
+    m = pinned_matrix()
+    assert (m.row_idx, m.col_idx, m.vals) == ((0, 1, 1, 3), (2, 0, 1, 1), (1, 5, 8, 3))
+    for same in (from_dense(to_dense(m)), coo_from_text(coo_to_text(m))):
+        assert same == m and hash(same) == hash(m)
+    empty = coo_from_triplets(2, 3, [])
+    assert (empty.row_idx, empty.col_idx, empty.vals) == ((), (), ())
+    assert from_dense(to_dense(empty)) == empty == coo_from_text("2 3 0\n")
 
 
 def test_multiply_validation():
@@ -104,7 +122,7 @@ def test_text_round_trip():
     # larger than gen_coo's 8x8, values near both ends of the 64-bit range
     cells = [(r, c) for r in range(1, 41) for c in range(1, 51, 2)]
     big = coo_from_triplets(40, 50, [(r, c, (-1) ** r * (2**62 + c)) for r, c in cells])
-    assert len(big.entries) == 1000
+    assert len(big.vals) == 1000
     assert coo_from_text(coo_to_text(big)) == big
 
 
@@ -164,3 +182,100 @@ def test_triplets_survive_text_round_trip_generated():
     for i in range(cfg.cases):
         _, m = gen_coo(cfg, i)
         assert coo_from_text(coo_to_text(m)) == m
+
+
+def reference_coo_from_triplets(rows, cols, triplets):
+    """The ordered per-triplet loop that validated COO input before the
+    bulk checks: the reference outcome for the differential test."""
+    if rows < 1 or cols < 1:
+        raise DimensionError(f"matrix dimensions must be positive, got {rows}x{cols}")
+    entries = []
+    prev = None
+    for r, c, v in triplets:
+        if not (1 <= r <= rows and 1 <= c <= cols):
+            raise BoundsError(f"triplet ({r},{c}) outside 1..{rows} x 1..{cols}")
+        if v == 0:
+            raise ZeroEntryError(f"triplet ({r},{c}) stores an explicit zero")
+        if not INT64_MIN <= v <= INT64_MAX:
+            raise OverflowError(f"triplet value {v} does not fit in 64 bits")
+        if prev is not None and (r, c) <= prev:
+            raise OrderError(f"triplet ({r},{c}) not strictly after ({prev[0]},{prev[1]})")
+        prev = (r, c)
+        entries.append((r - 1, c - 1, v))
+    rs, cs, vs = tuple(zip(*entries)) or ((), (), ())
+    return CooMatrix(rows, cols, rs, cs, vs)
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except (OracleKitError, OverflowError) as e:
+        return type(e), str(e)
+
+
+def random_triplets(rng):
+    """Sorted in-bounds triplets on up to 64x64 with values that include both
+    int64 ends, then 0-2 defects injected at random positions."""
+    rows, cols = rng.randint(1, 64), rng.randint(1, 64)
+    cells = sorted(rng.sample(range(rows * cols), rng.randint(0, min(rows * cols, 48))))
+    values = (INT64_MIN, INT64_MAX, -1, 1, 2, -(2**40))
+    trips = [[cell // cols + 1, cell % cols + 1, rng.choice(values)] for cell in cells]
+    for _ in range(rng.randint(0, 2) if trips else 0):
+        i = rng.randrange(len(trips))
+        kind = rng.choice(("bounds", "zero", "overflow", "order", "duplicate"))
+        if kind == "bounds":
+            axis, limit = rng.choice(((0, rows), (1, cols)))
+            trips[i][axis] = rng.choice((0, -1, limit + 1))
+        elif kind == "zero":
+            trips[i][2] = 0
+        elif kind == "overflow":
+            trips[i][2] = rng.choice((INT64_MIN - 1, INT64_MAX + 1))
+        elif kind == "order":
+            j = rng.randrange(len(trips))
+            trips[i], trips[j] = trips[j], trips[i]
+        elif i > 0:
+            trips[i][:2] = trips[i - 1][:2]  # duplicate cell
+    return rows, cols, [tuple(t) for t in trips]
+
+
+def test_bulk_validation_matches_the_ordered_loop():
+    rng = random.Random(2019)
+    kinds = set()
+    for _ in range(3000):
+        rows, cols, trips = random_triplets(rng)
+        want = outcome(reference_coo_from_triplets, rows, cols, trips)
+        assert outcome(coo_from_triplets, rows, cols, trips) == want
+        lines = [f"{rows} {cols} {len(trips)}"] + [f"{r} {c} {v}" for r, c, v in trips]
+        assert outcome(coo_from_text, "\n".join(lines) + "\n") == want
+        kinds.add(want[0] if isinstance(want, tuple) else CooMatrix)
+    assert kinds == {CooMatrix, BoundsError, ZeroEntryError, OverflowError, OrderError}
+
+
+class TripletScanReached(Exception):
+    pass
+
+
+def exploding_scan(rows, cols, triplets):
+    raise TripletScanReached
+
+
+def test_valid_matrices_skip_the_ordered_scan(monkeypatch):
+    """Only invalid input may pay for the per-triplet error scan."""
+    monkeypatch.setattr(spmv, "_reject_first_bad_triplet", exploding_scan)
+    assert coo_from_text(coo_to_text(pinned_matrix())) == pinned_matrix()
+    for rows, cols, trips in ((4, 4, PINNED_TRIPLETS), (1, 1, [(1, 1, INT64_MIN)]), (3, 2, [])):
+        coo_from_triplets(rows, cols, trips)
+    with pytest.raises(TripletScanReached):
+        coo_from_text("2 2 2\n1 2 1\n1 1 1\n")
+    with pytest.raises(TripletScanReached):
+        coo_from_triplets(2, 2, [(1, 1, 0)])
+
+
+def test_first_bad_triplet_wins_over_a_later_kind_checked_first():
+    # the bulk checks test order last, but triplet 2 is named before the zero at 3
+    trips = [(1, 2, 1), (1, 1, 1), (2, 1, 0)]
+    message = r"^triplet \(1,1\) not strictly after \(1,2\)$"
+    with pytest.raises(OrderError, match=message):
+        coo_from_triplets(2, 2, trips)
+    with pytest.raises(OrderError, match=message):
+        coo_from_text("2 2 3\n1 2 1\n1 1 1\n2 1 0\n")
