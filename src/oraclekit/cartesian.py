@@ -146,51 +146,6 @@ class TreeReport:
         return self.binary_ok and self.heap_ok and self.traversal_ok
 
 
-def _structure_ok(n: int, t: CartesianTree) -> bool:
-    if not (len(t.parent) == len(t.left_child) == len(t.right_child) == n):
-        return False
-    if n == 0:
-        return t.root is None
-    roots = [x for x in range(n) if t.parent[x] is None]
-    if len(roots) != 1 or t.root != roots[0]:
-        return False
-    # Child links must be exactly the inverse of parent links.
-    for x in range(n):
-        p = t.parent[x]
-        if p is None:
-            continue
-        if not 0 <= p < n or p == x:
-            return False
-        if x < p and t.left_child[p] != x:
-            return False
-        if x > p and t.right_child[p] != x:
-            return False
-    for p in range(n):
-        for child, side in ((t.left_child[p], -1), (t.right_child[p], 1)):
-            if child is None:
-                continue
-            if not 0 <= child < n or t.parent[child] != p:
-                return False
-            if (child - p) * side < 0:
-                return False
-    # Acyclicity: every node must reach the root.
-    state = [0] * n  # 0 unknown, 1 on current path, 2 reaches root
-    for x in range(n):
-        path = []
-        y: Optional[int] = x
-        while y is not None and state[y] == 0:
-            state[y] = 1
-            path.append(y)
-            y = t.parent[y]
-        # y is None (reached the root), 2 (known good), or 1 (a cycle).
-        ok = y is None or state[y] == 2
-        for z in path:
-            state[z] = 2 if ok else 1
-        if not ok:
-            return False
-    return True
-
-
 def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:
     """Evaluate the binary / heap / traversal properties of ``t``.
 
@@ -198,9 +153,34 @@ def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:
     heap_ok: every non-root value exceeds its parent's value;
     traversal_ok: in-order traversal is 0, 1, ..., n-1. Malformed trees
     fail flags instead of raising.
+
+    binary_ok needs one traversal and one pass over the parent links. A
+    traversal from the root that visits each of the n nodes exactly once
+    follows exactly n-1 child links, none of them into the root. The pass
+    asks every non-root x for a parent p whose child slot on x's side
+    holds x; the root cannot meet that with a parent, as no child link
+    leads to it. Those n-1 slots are distinct, so they are all the child
+    links: the child arrays are exactly the inverse of the parent array,
+    which is therefore acyclic with the root as its only parentless node.
     """
     n = len(s)
-    binary_ok = _structure_ok(n, t)
+    try:
+        order: Optional[list[int]] = in_order(t)
+    except MalformedTreeError:
+        order = None
+    traversal_ok = order == list(range(n))
+
+    left, right = t.left_child, t.right_child
+    binary_ok = (
+        order is not None
+        and len(t.parent) == n
+        and all(
+            x == t.root
+            if p is None
+            else 0 <= p < n and (left if x < p else right)[p] == x
+            for x, p in enumerate(t.parent)
+        )
+    )
 
     heap_ok = len(t.parent) == n
     if heap_ok:
@@ -211,11 +191,6 @@ def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:
             if not 0 <= p < n or not s[x] > s[p]:
                 heap_ok = False
                 break
-
-    try:
-        traversal_ok = in_order(t) == list(range(n))
-    except MalformedTreeError:
-        traversal_ok = False
 
     return TreeReport(binary_ok=binary_ok, heap_ok=heap_ok, traversal_ok=traversal_ok)
 

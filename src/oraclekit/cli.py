@@ -56,7 +56,7 @@ def _parse_policy(text: str) -> Optional[parallel.AllocationPolicy]:
     ):
         if text.startswith(prefix):
             arg = text[len(prefix) :]
-            if not arg.isdigit():
+            if not (arg.isascii() and arg.isdigit()):
                 raise ConfigError(f"worker count {arg!r} is not a positive integer")
             return ctor(int(arg))
     raise ConfigError(

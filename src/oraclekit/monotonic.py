@@ -18,7 +18,9 @@ Also note that segment directions do not alternate: ``[6, 3, 4, 2, 5,
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import BoundsError
@@ -156,24 +158,22 @@ def check_cutpoints(s: Sequence[int], cut: Sequence[int]) -> CutReport:
             bounds_at = k
             break
 
-    monotonic = True
-    monotonic_at = 0
+    # One scan over the segments, reading directions from up[i] = s[i] < s[i+1].
+    up = list(map(operator.lt, s, islice(s, 1, None)))
+    broken_at = extendable_at = None
     for k in range(m - 1):
         lo, hi = cut[k], cut[k + 1]
-        if not (0 <= lo <= hi <= n and is_monotonic(s, lo, hi)):
-            monotonic = False
-            monotonic_at = k
+        # s[lo:hi] is monotonic iff up[lo:hi-1] is all true or all false.
+        if not 0 <= lo <= hi <= n or hi - lo > 2 and len(set(up[lo : hi - 1])) > 1:
+            broken_at = k
             break
-
-    right_maximal = monotonic
-    maximal_at = 0
-    if monotonic:
-        for k in range(m - 1):
-            hi = cut[k + 1]
-            if hi < n and is_monotonic(s, cut[k], hi + 1):
-                right_maximal = False
-                maximal_at = k
-                break
+        # s[lo:hi+1] is monotonic too unless s[lo:hi] has a direction (two
+        # or more elements) that the next pair, up[hi-1], breaks.
+        extends = hi < n and (hi - lo < 2 or up[hi - 1] == up[hi - 2])
+        if extends and extendable_at is None:
+            extendable_at = k
+    monotonic = broken_at is None
+    right_maximal = monotonic and extendable_at is None
 
     first_violation = None
     if not non_empty:
@@ -183,9 +183,9 @@ def check_cutpoints(s: Sequence[int], cut: Sequence[int]) -> CutReport:
     elif not within_bounds:
         first_violation = ("within_bounds", bounds_at)
     elif not monotonic:
-        first_violation = ("monotonic", monotonic_at)
+        first_violation = ("monotonic", broken_at)
     elif not right_maximal:
-        first_violation = ("right_maximal", maximal_at)
+        first_violation = ("right_maximal", extendable_at)
 
     return CutReport(
         non_empty=non_empty,

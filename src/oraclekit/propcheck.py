@@ -267,7 +267,7 @@ def run_suite(
 
     fixed = [p for p in props if p.kind == "fixed"]
     for p in fixed:
-        msg = p.check(None, cfg)
+        msg = p.check(None)
         cases_ran[p.name] = 1
         if msg is not None:
             failures[p.name] = (None, None, msg)
@@ -283,14 +283,14 @@ def run_suite(
             value = generate(cfg, case_index)
             still = []
             for p in active:
-                msg = p.check(value, cfg)
+                msg = p.check(value)
                 cases_ran[p.name] += 1
                 if msg is None:
                     still.append(p)
                     continue
 
                 def fails(cand: object, p=p) -> bool:
-                    return p.check(cand, cfg) is not None
+                    return p.check(cand) is not None
 
                 shrunk = shrinker(value, fails)
                 failures[p.name] = (value, shrunk, msg)

@@ -19,7 +19,6 @@ from itertools import product
 from typing import Callable, Optional
 
 from . import ansv, cartesian, ghcsort, monotonic, parallel, spmv
-from .propcheck import GenConfig
 
 __all__ = ["PARALLEL_REPEATS", "PROPERTY_NAMES", "Property", "REGISTRY"]
 
@@ -33,16 +32,12 @@ PARALLEL_REPEATS = 100
 class Property:
     name: str
     kind: str  # "sequence", "coo", or "fixed"
-    check: Callable[[object, GenConfig], Optional[str]]
+    check: Callable[[object], Optional[str]]
     summary: str
 
 
-def _is_nondecreasing(xs) -> bool:
-    return all(xs[i] <= xs[i + 1] for i in range(len(xs) - 1))
-
-
 def _cutpoints_flag(flag: str) -> Callable:
-    def check(s, _cfg):
+    def check(s):
         cut = monotonic.compute_cutpoints(s)
         report = monotonic.check_cutpoints(s, cut)
         if getattr(report, flag):
@@ -52,7 +47,7 @@ def _cutpoints_flag(flag: str) -> Callable:
     return check
 
 
-def _cutpoints_oracle_eq(s, _cfg):
+def _cutpoints_oracle_eq(s):
     got = monotonic.compute_cutpoints(s)
     want = monotonic.oracle_cutpoints(s)
     if got == want:
@@ -60,25 +55,25 @@ def _cutpoints_oracle_eq(s, _cfg):
     return f"cutpoints {got} != greedy oracle {want}"
 
 
-def _merge_sorted(s, _cfg):
+def _merge_sorted(s):
     half = len(s) // 2
     a, b = sorted(s[:half]), sorted(s[half:])
     merged = ghcsort.merge(a, b)
-    if not _is_nondecreasing(merged):
+    if not ghcsort.is_sorted(merged):
         return f"merge({a}, {b}) is not sorted: {merged}"
     if not ghcsort.multiset_equal(merged, a + b):
         return f"merge({a}, {b}) lost or invented elements: {merged}"
     return None
 
 
-def _sort_sorted(s, _cfg):
+def _sort_sorted(s):
     out = ghcsort.ghc_sort(s)
-    if _is_nondecreasing(out):
+    if ghcsort.is_sorted(out):
         return None
     return f"ghc_sort output is not nondecreasing: {out}"
 
 
-def _sort_permutation(s, _cfg):
+def _sort_permutation(s):
     out = ghcsort.ghc_sort(s)
     if ghcsort.multiset_equal(out, s):
         return None
@@ -86,7 +81,7 @@ def _sort_permutation(s, _cfg):
 
 
 def _ansv_flag(flag: str) -> Callable:
-    def check(s, _cfg):
+    def check(s):
         arr = ansv.left_neighbors(s)
         report = ansv.check_ansv(s, arr)
         if getattr(report, flag):
@@ -96,7 +91,7 @@ def _ansv_flag(flag: str) -> Callable:
     return check
 
 
-def _ansv_oracle_eq(s, _cfg):
+def _ansv_oracle_eq(s):
     for side, scan in (("left", ansv.left_neighbors), ("right", ansv.right_neighbors)):
         got, want = scan(s).neighbors, ansv.oracle_neighbors(s, side).neighbors
         if got != want:
@@ -105,7 +100,7 @@ def _ansv_oracle_eq(s, _cfg):
 
 
 def _tree_flag(flag: str) -> Callable:
-    def check(s, _cfg):
+    def check(s):
         t = list(dict.fromkeys(s))  # first occurrences, in order
         tree = cartesian.build_tree(t)
         report = cartesian.check_tree(t, tree)
@@ -116,19 +111,19 @@ def _tree_flag(flag: str) -> Callable:
     return check
 
 
-def _tree_oracle_eq(s, _cfg):
+def _tree_oracle_eq(s):
     t = list(dict.fromkeys(s))
     got = cartesian.build_tree(t)
     want = cartesian.oracle_tree(t)
     if got == want:
         return None
     return (
-        f"tree parents {got.parent} != recursive oracle {want.parent}"
+        f"tree parents {got.parent} != min-split oracle {want.parent}"
         f" (input deduped to {t})"
     )
 
 
-def _seq_correct(value, _cfg):
+def _seq_correct(value):
     x, m = value
     got = spmv.multiply_seq(x, m)
     want = spmv.oracle_multiply_dense(x, spmv.to_dense(m))
@@ -145,7 +140,7 @@ _POLICIES = (
 )
 
 
-def _parallel_eq_seq(value, _cfg):
+def _parallel_eq_seq(value):
     x, m = value
     want = spmv.multiply_seq(x, m)
     for label, policy in _POLICIES:
@@ -156,7 +151,7 @@ def _parallel_eq_seq(value, _cfg):
     return None
 
 
-def _no_concurrency_issues(_value, _cfg):
+def _no_concurrency_issues(_value):
     """Exhaust every small model under both safe synchronization modes.
 
     Matrices up to 2x2, every subset of cells with at most 4 entries,
@@ -191,7 +186,7 @@ def _no_concurrency_issues(_value, _cfg):
     return None
 
 
-def _race_witness(_value, _cfg):
+def _race_witness(_value):
     """The unsynchronized two-step update must exhibit lost updates.
 
     Two workers add 1 and 2 into the same cell via read-then-write.
@@ -311,7 +306,7 @@ _ALL = (
         "c2b.oracle_eq",
         "sequence",
         _tree_oracle_eq,
-        "neighbor-built tree equals the recursive min-split oracle",
+        "neighbor-built tree equals the min-split oracle",
     ),
     Property(
         "c3.seq_correct",

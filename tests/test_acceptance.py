@@ -257,7 +257,7 @@ def test_criterion_7_regression_pins(capsys):
         bad.append("1 2 2 right-maximal")
     if not is_monotonic([1, 2, 2], 1, 3):
         bad.append("1 2 2 left extension")  # [2, 2] must be monotonic
-    if REGISTRY["c1a.maximal"].check([1, 2, 2], GenConfig()) is not None:
+    if REGISTRY["c1a.maximal"].check([1, 2, 2]) is not None:
         bad.append("c1a.maximal excludes the counterexample")
 
     ok = not bad

@@ -1,5 +1,5 @@
 import sys
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oraclekit.cartesian import (
     CartesianTree,
+    TreeReport,
     build_tree,
     check_tree,
     in_order,
@@ -126,3 +127,100 @@ def test_traversal_rejects_bad_root():
         in_order(CartesianTree((None,), (None,), (None,), root=5))
     with pytest.raises(MalformedTreeError):
         in_order(CartesianTree((None,), (None,), (None,), root=None))
+
+
+def test_consistent_links_off_the_root_cycle_are_rejected():
+    # Child and parent links agree, but 1 and 2 only reach each other.
+    t = CartesianTree((None, 2, 1), (None, None, 1), (None, 2, None), 0)
+    r = check_tree([0, 1, 2], t)
+    assert not r.binary_ok and not r.traversal_ok
+
+
+def _reference_structure_ok(n, t):
+    """The three-pass structure check, kept as the reference."""
+    if not (len(t.parent) == len(t.left_child) == len(t.right_child) == n):
+        return False
+    if n == 0:
+        return t.root is None
+    roots = [x for x in range(n) if t.parent[x] is None]
+    if len(roots) != 1 or t.root != roots[0]:
+        return False
+    for x in range(n):
+        p = t.parent[x]
+        if p is None:
+            continue
+        if not 0 <= p < n or p == x:
+            return False
+        if x < p and t.left_child[p] != x:
+            return False
+        if x > p and t.right_child[p] != x:
+            return False
+    for p in range(n):
+        for child, side in ((t.left_child[p], -1), (t.right_child[p], 1)):
+            if child is None:
+                continue
+            if not 0 <= child < n or t.parent[child] != p:
+                return False
+            if (child - p) * side < 0:
+                return False
+    state = [0] * n  # 0 unknown, 1 on current path, 2 reaches root
+    for x in range(n):
+        path = []
+        y = x
+        while y is not None and state[y] == 0:
+            state[y] = 1
+            path.append(y)
+            y = t.parent[y]
+        ok = y is None or state[y] == 2
+        for z in path:
+            state[z] = 2 if ok else 1
+        if not ok:
+            return False
+    return True
+
+
+def _reference_check_tree(s, t):
+    n = len(s)
+    heap_ok = len(t.parent) == n
+    if heap_ok:
+        for x in range(n):
+            p = t.parent[x]
+            if p is not None and (not 0 <= p < n or not s[x] > s[p]):
+                heap_ok = False
+                break
+    try:
+        traversal_ok = in_order(t) == list(range(n))
+    except MalformedTreeError:
+        traversal_ok = False
+    return TreeReport(_reference_structure_ok(n, t), heap_ok, traversal_ok)
+
+
+def _child_arrays(parent, last_writer):
+    n = len(parent)
+    left, right = [None] * n, [None] * n
+    for x, p in enumerate(parent):
+        if p is not None and 0 <= p < n:
+            side = left if x < p else right
+            if last_writer or side[p] is None:
+                side[p] = x
+    return tuple(left), tuple(right)
+
+
+def test_check_matches_reference_on_every_small_parent_array():
+    # Parent entries range over None, -1, 0..n-1 and n. Child arrays come
+    # from the same parent array for n = 4; for n <= 3 they come from
+    # every parent array, also with left and right swapped, so that child
+    # links can disagree with parent links and sit on the wrong side.
+    for n in range(5):
+        sequences = [list(range(n)), list(range(n + 1)), list(range(n, 0, -1))]
+        sequences += [[1, 0, 3, 2][:n]] if n else []
+        parents = list(product((None, -1, *range(n), n), repeat=n))
+        every = {_child_arrays(p, lw) for p in parents for lw in (False, True)}
+        every |= {(right, left) for left, right in every}
+        for parent in parents:
+            own = {_child_arrays(parent, lw) for lw in (False, True)}
+            for left, right in every if n <= 3 else own:
+                for root in (None, -1, *range(n), n):
+                    t = CartesianTree(parent, left, right, root)
+                    for s in sequences if (left, right) in own else sequences[:2]:
+                        assert check_tree(s, t) == _reference_check_tree(s, t), (s, t)

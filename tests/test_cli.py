@@ -107,6 +107,10 @@ def test_spmv_policies_agree(ones_file, coo_file, capsys):
 def test_spmv_rejects_bad_policy(ones_file, coo_file, capsys):
     code, _, err = run(capsys, "spmv", ones_file, coo_file, "--policy", "magic")
     assert code == 2 and err.startswith("error:")
+    # str.isdigit accepts these, but they are not ASCII decimal counts
+    for policy in ("chunks:\u00b2", "steal:\u0662"):
+        code, _, err = run(capsys, "spmv", ones_file, coo_file, "--policy", policy)
+        assert code == 2 and "is not a positive integer" in err, policy
 
 
 def test_worker_cap_exits_2_without_threads(

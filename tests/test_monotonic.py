@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from oraclekit import monotonic
 from oraclekit.errors import BoundsError
 from oraclekit.instrument import Tally
 from oraclekit.monotonic import (
+    CutReport,
     check_cutpoints,
     compute_cutpoints,
     is_monotonic,
@@ -104,3 +106,91 @@ def test_tally_accumulates_across_calls():
     compute_cutpoints([1, 2, 3], tally)
     assert tally.comparisons == 2 * first
     assert monotonic.compute_cutpoints([1, 2, 3]) == [0, 3]
+
+
+def _reference_check_cutpoints(s, cut):
+    """The per-segment ``is_monotonic`` checker, kept as the reference."""
+    n = len(s)
+    m = len(cut)
+    non_empty = m > 0
+    begin_to_end = m > 0 and cut[0] == 0 and cut[-1] == n
+    within_bounds = True
+    bounds_at = 0
+    for k, c in enumerate(cut):
+        if not 0 <= c <= n or (k > 0 and cut[k - 1] >= c):
+            within_bounds = False
+            bounds_at = k
+            break
+    monotonic = True
+    monotonic_at = 0
+    for k in range(m - 1):
+        lo, hi = cut[k], cut[k + 1]
+        if not (0 <= lo <= hi <= n and is_monotonic(s, lo, hi)):
+            monotonic = False
+            monotonic_at = k
+            break
+    right_maximal = monotonic
+    maximal_at = 0
+    if monotonic:
+        for k in range(m - 1):
+            hi = cut[k + 1]
+            if hi < n and is_monotonic(s, cut[k], hi + 1):
+                right_maximal = False
+                maximal_at = k
+                break
+    first_violation = None
+    if not non_empty:
+        first_violation = ("non_empty", 0)
+    elif not begin_to_end:
+        first_violation = ("begin_to_end", 0)
+    elif not within_bounds:
+        first_violation = ("within_bounds", bounds_at)
+    elif not monotonic:
+        first_violation = ("monotonic", monotonic_at)
+    elif not right_maximal:
+        first_violation = ("right_maximal", maximal_at)
+    return CutReport(
+        non_empty,
+        begin_to_end,
+        within_bounds,
+        monotonic,
+        right_maximal,
+        first_violation,
+    )
+
+
+def test_check_matches_reference_exhaustively_small():
+    for n in range(5):
+        cuts = [
+            list(c) for size in range(4) for c in product(range(-1, n + 2), repeat=size)
+        ]
+        for seq in product((0, 1, 2), repeat=n):
+            s = list(seq)
+            for cut in cuts:
+                assert check_cutpoints(s, cut) == _reference_check_cutpoints(s, cut), (
+                    s,
+                    cut,
+                )
+
+
+def test_check_matches_reference_on_longer_cuts():
+    # Perturbed algorithm cuts, and random cuts from 0 to n, which give
+    # many short segments and so several violations in one cut list.
+    rng = random.Random(2019)
+    for case in range(6000):
+        s = [rng.randint(0, 3) for _ in range(rng.randint(0, 16))]
+        n = len(s)
+        if case % 2:
+            inner = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n else []
+            cut = [0, *inner, n]
+        else:
+            cut = compute_cutpoints(s)
+            for _ in range(rng.randint(0, 3)):
+                if not cut:
+                    break
+                k = rng.randrange(len(cut))
+                if rng.random() < 0.5:
+                    cut[k] += rng.choice((-2, -1, 1, 2))
+                else:
+                    del cut[k]
+        assert check_cutpoints(s, cut) == _reference_check_cutpoints(s, cut), (s, cut)

@@ -130,13 +130,13 @@ def test_run_suite_shrinks_failures():
         "toy.no_big": Property(
             "toy.no_big",
             "sequence",
-            lambda s, _cfg: None if not s or max(s) < 900 else f"max is {max(s)}",
+            lambda s: None if not s or max(s) < 900 else f"max is {max(s)}",
             "synthetic failing property",
         ),
         "toy.fixed_bad": Property(
             "toy.fixed_bad",
             "fixed",
-            lambda _v, _cfg: "always wrong",
+            lambda _v: "always wrong",
             "synthetic fixed failure",
         ),
     }
