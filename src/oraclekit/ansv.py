@@ -123,8 +123,16 @@ def check_ansv(s: Sequence[int], a: NeighborArray) -> AnsvReport:
     index_ok: every present neighbor is a valid index before its owner.
     value_ok: every present neighbor holds a strictly smaller value.
     smallest_ok: no index between the neighbor (exclusive) and the owner
-    holds a smaller value. Evaluated by direct scan, independent of the
-    stack algorithm. An array of the wrong length fails all three flags.
+    holds a smaller value. An array of the wrong length fails all three
+    flags.
+
+    smallest_ok walks from ``i - 1`` down to the neighbor (or to the start
+    when it is absent or negative), jumping from j to ``nb[j]`` whenever
+    that lies below j. The walk runs only while smallest_ok has held for
+    every earlier index, so everything strictly between ``nb[j]`` and j is
+    at least ``s[j]``, which is at least ``s[i]``. The walk takes no more
+    steps than a direct scan of the gap; on a correct array it steps over
+    exactly the entries that the stack pass pops, at most n in total.
     """
     if a.direction != "left":
         raise ValueError("check_ansv checks left arrays; mirror the sequence for right")
@@ -133,30 +141,27 @@ def check_ansv(s: Sequence[int], a: NeighborArray) -> AnsvReport:
     if len(nb) != n:
         return AnsvReport(index_ok=False, value_ok=False, smallest_ok=False)
 
-    index_ok = True
-    for i in range(n):
-        y = nb[i]
-        if y is not None and not 0 <= y < i:
-            index_ok = False
-            break
-
-    value_ok = True
-    for i in range(n):
-        y = nb[i]
-        if y is not None and not (0 <= y < n and s[y] < s[i]):
-            value_ok = False
-            break
-
-    smallest_ok = True
-    for i in range(n):
-        y = nb[i]
-        start = 0 if y is None else max(0, y + 1)
+    index_ok = value_ok = smallest_ok = True
+    for i, y in enumerate(nb):
         vi = s[i]
-        for j in range(start, i):
+        if y is None:
+            stop = -1
+        else:
+            if not 0 <= y < i:
+                index_ok = False
+            if not (0 <= y < n and s[y] < vi):
+                value_ok = False
+            stop = y if y > -1 else -1  # a comparison: max() per element is slow
+        j = i - 1
+        while j > stop and smallest_ok:
             if s[j] < vi:
                 smallest_ok = False
-                break
-        if not smallest_ok:
-            break
+            z = nb[j]
+            if z is None:
+                j = -1
+            elif z < j:
+                j = z
+            else:
+                j -= 1
 
     return AnsvReport(index_ok=index_ok, value_ok=value_ok, smallest_ok=smallest_ok)

@@ -58,7 +58,11 @@ def _parse_policy(text: str) -> Optional[parallel.AllocationPolicy]:
             arg = text[len(prefix) :]
             if not (arg.isascii() and arg.isdigit()):
                 raise ConfigError(f"worker count {arg!r} is not a positive integer")
-            return ctor(int(arg))
+            try:
+                return ctor(int(arg))
+            except ValueError:  # over int()'s digit limit; never print the token
+                msg = f"worker count of {len(arg)} digits is too long"
+                raise ConfigError(msg) from None
     raise ConfigError(
         f"unknown policy {text!r}; expected seq, per-element, chunks:N, or steal:N"
     )

@@ -14,7 +14,7 @@ only ever returns inputs that fail the same property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .errors import ConfigError
 from .spmv import CooMatrix, coo_from_triplets
@@ -29,6 +29,9 @@ __all__ = [
     "shrink_coo",
     "shrink_sequence",
 ]
+
+T = TypeVar("T")
+CooCase = tuple[list[int], CooMatrix]  # a COO property's input: vector, matrix
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -126,7 +129,7 @@ def _clamped(rng: CaseRng, lo: int, hi: int) -> int:
     return v
 
 
-def gen_coo(cfg: GenConfig, case_index: int) -> tuple[list[int], CooMatrix]:
+def gen_coo(cfg: GenConfig, case_index: int) -> CooCase:
     """A random vector and compatible sparse matrix.
 
     Dimensions are in [1, min(max_len, 8)]; density is drawn from
@@ -160,72 +163,56 @@ def _halved(v: int) -> int:
     return v // 2 if v > 0 else -((-v) // 2)
 
 
+def _shrink(
+    value: T, candidates: Callable[[T], Iterator[T]], fails: Callable[[T], bool]
+) -> T:
+    """Greedy first-improvement shrink: move to the first candidate that
+    still fails and start over, until no candidate fails."""
+    current = value
+    while True:
+        for cand in candidates(current):
+            if fails(cand):
+                current = cand
+                break
+        else:
+            return current
+
+
+def _sequence_candidates(s: list[int]) -> Iterator[list[int]]:
+    for i in range(len(s)):
+        yield s[:i] + s[i + 1 :]
+    for i, v in enumerate(s):
+        if v != 0:
+            yield s[:i] + [_halved(v)] + s[i + 1 :]
+
+
 def shrink_sequence(
     value: list[int], fails: Callable[[list[int]], bool]
 ) -> list[int]:
     """Greedy first-improvement shrink; result still fails the check."""
-    current = list(value)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(current)):
-            cand = current[:i] + current[i + 1 :]
-            if fails(cand):
-                current = cand
-                improved = True
-                break
-        if improved:
-            continue
-        for i, v in enumerate(current):
-            if v == 0:
-                continue
-            cand = current[:i] + [_halved(v)] + current[i + 1 :]
-            if fails(cand):
-                current = cand
-                improved = True
-                break
-    return current
+    return _shrink(list(value), _sequence_candidates, fails)
 
 
-def _coo_candidates(
-    x: list[int], m: CooMatrix
-) -> list[tuple[list[int], CooMatrix]]:
-    out = []
+def _coo_candidates(value: CooCase) -> Iterator[CooCase]:
+    x, m = value
     trips = list(m.to_triplets())
     for i in range(len(trips)):
-        out.append(
-            (list(x), coo_from_triplets(m.rows, m.cols, trips[:i] + trips[i + 1 :]))
-        )
+        yield list(x), coo_from_triplets(m.rows, m.cols, trips[:i] + trips[i + 1 :])
     for i, (r, c, v) in enumerate(trips):
-        if abs(v) == 1:
-            continue
-        smaller = trips[:i] + [(r, c, _halved(v))] + trips[i + 1 :]
-        out.append((list(x), coo_from_triplets(m.rows, m.cols, smaller)))
+        if abs(v) != 1:
+            smaller = trips[:i] + [(r, c, _halved(v))] + trips[i + 1 :]
+            yield list(x), coo_from_triplets(m.rows, m.cols, smaller)
     for i, v in enumerate(x):
-        if v == 0:
-            continue
-        out.append((x[:i] + [_halved(v)] + x[i + 1 :], m))
+        if v != 0:
+            yield x[:i] + [_halved(v)] + x[i + 1 :], m
     if m.rows > 1 and max(m.row_idx, default=0) < m.rows - 1:
-        out.append((x[:-1], coo_from_triplets(m.rows - 1, m.cols, trips)))
+        yield x[:-1], coo_from_triplets(m.rows - 1, m.cols, trips)
     if m.cols > 1 and max(m.col_idx, default=0) < m.cols - 1:
-        out.append((list(x), coo_from_triplets(m.rows, m.cols - 1, trips)))
-    return out
+        yield list(x), coo_from_triplets(m.rows, m.cols - 1, trips)
 
 
-def shrink_coo(
-    value: tuple[list[int], CooMatrix],
-    fails: Callable[[tuple[list[int], CooMatrix]], bool],
-) -> tuple[list[int], CooMatrix]:
-    current = value
-    improved = True
-    while improved:
-        improved = False
-        for cand in _coo_candidates(*current):
-            if fails(cand):
-                current = cand
-                improved = True
-                break
-    return current
+def shrink_coo(value: CooCase, fails: Callable[[CooCase], bool]) -> CooCase:
+    return _shrink(value, _coo_candidates, fails)
 
 
 @dataclass(frozen=True)

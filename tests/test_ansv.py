@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -114,3 +115,77 @@ def test_check_flags_each_defect():
 def test_check_rejects_right_direction():
     with pytest.raises(ValueError):
         check_ansv([1, 2], right_neighbors([1, 2]))
+
+
+def _reference_check_ansv(s, a):
+    """The three-loop checker with a direct gap scan, kept as the reference."""
+    n = len(s)
+    nb = a.neighbors
+    if len(nb) != n:
+        return ansv.AnsvReport(index_ok=False, value_ok=False, smallest_ok=False)
+
+    index_ok = True
+    for i in range(n):
+        y = nb[i]
+        if y is not None and not 0 <= y < i:
+            index_ok = False
+            break
+
+    value_ok = True
+    for i in range(n):
+        y = nb[i]
+        if y is not None and not (0 <= y < n and s[y] < s[i]):
+            value_ok = False
+            break
+
+    smallest_ok = True
+    for i in range(n):
+        y = nb[i]
+        start = 0 if y is None else max(0, y + 1)
+        vi = s[i]
+        for j in range(start, i):
+            if s[j] < vi:
+                smallest_ok = False
+                break
+        if not smallest_ok:
+            break
+
+    return ansv.AnsvReport(index_ok, value_ok, smallest_ok)
+
+
+def test_check_matches_reference_exhaustively_small():
+    # Every s in {0,1,2}^n against every neighbor tuple over None, -2..n.
+    for n in range(5):
+        arrays = [
+            ansv.NeighborArray(nb, "left")
+            for nb in product((None, *range(-2, n + 1)), repeat=n)
+        ]
+        for seq in product((0, 1, 2), repeat=n):
+            s = list(seq)
+            for a in arrays:
+                assert check_ansv(s, a) == _reference_check_ansv(s, a), (s, a)
+
+
+def test_check_clamps_out_of_range_neighbors():
+    # An unclamped walk from neighbor -5 would read s[-1]; on [4, 1, 0]
+    # that wraps to 0 < 1 and wrongly fails smallest_ok.
+    a = ansv.NeighborArray((None, -5, 99), "left")
+    for s in ([4, 1, 3], [4, 1, 0]):
+        report = check_ansv(s, a)
+        assert report == _reference_check_ansv(s, a)
+        assert (report.index_ok, report.value_ok, report.smallest_ok) == (
+            False,
+            False,
+            True,
+        )
+
+
+def test_check_is_linear_on_decreasing_input():
+    # A direct gap scan takes about 9 s here; the chain walk is O(n).
+    s = list(range(20_000, 0, -1))
+    a = left_neighbors(s)
+    t0 = time.perf_counter()
+    report = check_ansv(s, a)
+    elapsed = time.perf_counter() - t0
+    assert report.all_ok()
+    assert elapsed < 1.0, elapsed

@@ -111,6 +111,12 @@ def test_spmv_rejects_bad_policy(ones_file, coo_file, capsys):
     for policy in ("chunks:\u00b2", "steal:\u0662"):
         code, _, err = run(capsys, "spmv", ones_file, coo_file, "--policy", policy)
         assert code == 2 and "is not a positive integer" in err, policy
+    # more digits than int() converts: a ConfigError naming the count
+    for prefix in ("chunks:", "steal:"):
+        policy = prefix + "0" * 5000 + "2"
+        code, _, err = run(capsys, "spmv", ones_file, coo_file, "--policy", policy)
+        assert code == 2 and "worker count of 5001 digits is too long" in err, prefix
+        assert "0" * 100 not in err
 
 
 def test_worker_cap_exits_2_without_threads(
