@@ -44,6 +44,19 @@ def _load_sequence(path: str) -> list[int]:
     return out
 
 
+def _decimal(text: str, what: str) -> int:
+    """``text`` as an int if it is one ASCII ``DECIMAL_RE`` token, the grammar
+    of the input files; ``int()`` alone also takes non-ASCII digits, ``_``
+    and padding."""
+    if not spmv.DECIMAL_RE.fullmatch(text):
+        raise ConfigError(f"{what} {text!r} is not a decimal integer")
+    try:
+        return int(text)
+    except ValueError:  # over int()'s digit limit; never print the token
+        n = len(text.lstrip("+-"))
+        raise ConfigError(f"{what} of {n} digits is too long") from None
+
+
 def _parse_policy(text: str) -> Optional[parallel.AllocationPolicy]:
     """seq, per-element, chunks:N, or steal:N; None means sequential."""
     if text == "seq":
@@ -55,14 +68,7 @@ def _parse_policy(text: str) -> Optional[parallel.AllocationPolicy]:
         ("steal:", parallel.AllocationPolicy.dynamic_stealing),
     ):
         if text.startswith(prefix):
-            arg = text[len(prefix) :]
-            if not (arg.isascii() and arg.isdigit()):
-                raise ConfigError(f"worker count {arg!r} is not a positive integer")
-            try:
-                return ctor(int(arg))
-            except ValueError:  # over int()'s digit limit; never print the token
-                msg = f"worker count of {len(arg)} digits is too long"
-                raise ConfigError(msg) from None
+            return ctor(_decimal(text[len(prefix) :], "worker count"))
     raise ConfigError(
         f"unknown policy {text!r}; expected seq, per-element, chunks:N, or steal:N"
     )
@@ -182,6 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def int_flag(p: argparse.ArgumentParser, flag: str, default: int) -> None:
+        p.add_argument(flag, type=lambda t: _decimal(t, f"{flag} value"), default=default)
+
     p = sub.add_parser("cutpoints", help="split a sequence into maximal monotonic runs")
     p.add_argument("file", help="sequence file")
     p.set_defaults(func=_cmd_cutpoints)
@@ -213,9 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="enumerate interleavings of a small product")
     p.add_argument("vector", help="vector file")
     p.add_argument("matrix", help="COO matrix file")
-    p.add_argument("--workers", type=int, default=2)
+    int_flag(p, "--workers", 2)
     p.add_argument("--sync", choices=parallel.SYNC_MODES, default="atomic_rmw")
-    p.add_argument("--max-states", type=int, default=1_000_000)
+    int_flag(p, "--max-states", 1_000_000)
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("check", help="run named properties over random cases")
@@ -226,11 +235,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="property names (default: all)",
     )
     p.add_argument("--list", action="store_true", help="list properties and exit")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--max-len", type=int, default=50)
-    p.add_argument("--value-lo", type=int, default=-1000)
-    p.add_argument("--value-hi", type=int, default=1000)
+    int_flag(p, "--seed", 1)
+    int_flag(p, "--cases", 100)
+    int_flag(p, "--max-len", 50)
+    int_flag(p, "--value-lo", -1000)
+    int_flag(p, "--value-hi", 1000)
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -228,69 +228,64 @@ class ExplorationReport:
 def explore(ts: TransitionSystem, max_states: int = 1_000_000) -> ExplorationReport:
     """Enumerate every interleaving of the model's atomic actions.
 
-    Depth-first search with visited-state memoization. A state is the
-    worker program counters plus the shared cells (plus lock bits and
-    worker temps when the mode uses them). Raises ModelTooLargeError
-    with partial statistics when more than ``max_states`` states are
-    visited.
+    Depth-first search with visited-state memoization. A state is one
+    flat tuple, the worker program counters ``[0:W]`` then the shared
+    cells ``[W:W+C]``, then the lock bits (lock_per_cell) or the worker
+    temps (none_split_rw). A successor copies the state into a list,
+    sets the one or two slots the action changes and freezes it; each
+    popped state is hashed once, by the ``add`` to the visited set.
+    Raises ModelTooLargeError with partial statistics when more than
+    ``max_states`` states are visited.
     """
     actions = ts.worker_actions
     nworkers = len(actions)
     lengths = tuple(len(a) for a in actions)
-    use_locks = ts.sync_mode == "lock_per_cell"
-    use_temps = ts.sync_mode == "none_split_rw"
-
-    init_pcs = (0,) * nworkers
-    init_y = (0,) * ts.cols
-    init_locks = (0,) * ts.cols if use_locks else ()
-    init_temps = (0,) * nworkers if use_temps else ()
-    init = (init_pcs, init_y, init_locks, init_temps)
+    y0, aux0 = nworkers, nworkers + ts.cols  # aux: lock bit per cell or temp per worker
+    naux = {"lock_per_cell": ts.cols, "none_split_rw": nworkers}.get(ts.sync_mode, 0)
 
     visited: set = set()
     terminals: set = set()
     deadlock = False
-    stack = [init]
+    stack = [(0,) * (aux0 + naux)]
     while stack:
         state = stack.pop()
-        if state in visited:
-            continue
+        seen = len(visited)
         visited.add(state)
+        if len(visited) == seen:
+            continue
         if len(visited) > max_states:
             raise ModelTooLargeError(
                 f"exploration exceeded {max_states} states",
                 states_visited=len(visited),
                 terminal_outputs_seen=len(terminals),
             )
-        pcs, y, locks, temps = state
-        done = True
-        enabled_any = False
+        top = len(stack)
         for w in range(nworkers):
-            pc = pcs[w]
+            pc = state[w]
             if pc >= lengths[w]:
                 continue
-            done = False
             op, cell, delta = actions[w][pc]
-            if op == _ACQUIRE and locks[cell]:
+            if op == _ACQUIRE and state[aux0 + cell]:
                 continue  # blocked until the holder releases
-            enabled_any = True
-            new_pcs = pcs[:w] + (pc + 1,) + pcs[w + 1 :]
-            new_y, new_locks, new_temps = y, locks, temps
+            nxt = list(state)
+            nxt[w] = pc + 1
             if op == _ADD:
-                new_y = y[:cell] + (y[cell] + delta,) + y[cell + 1 :]
+                nxt[y0 + cell] += delta
             elif op == _ACQUIRE:
-                new_locks = locks[:cell] + (1,) + locks[cell + 1 :]
+                nxt[aux0 + cell] = 1
             elif op == _RELEASE:
-                new_locks = locks[:cell] + (0,) + locks[cell + 1 :]
+                nxt[aux0 + cell] = 0
             elif op == _READ:
-                new_temps = temps[:w] + (y[cell],) + temps[w + 1 :]
+                nxt[aux0 + w] = state[y0 + cell]
             else:  # _WRITE: stale read + delta, temp dies afterwards
-                new_y = y[:cell] + (temps[w] + delta,) + y[cell + 1 :]
-                new_temps = temps[:w] + (0,) + temps[w + 1 :]
-            stack.append((new_pcs, new_y, new_locks, new_temps))
-        if done:
-            terminals.add(y)
-        elif not enabled_any:
-            deadlock = True
+                nxt[y0 + cell] = state[aux0 + w] + delta
+                nxt[aux0 + w] = 0
+            stack.append(tuple(nxt))
+        if len(stack) == top:  # no action enabled: every worker ended, or a deadlock
+            if state[:y0] == lengths:
+                terminals.add(state[y0:aux0])
+            else:
+                deadlock = True
 
     matches = (not deadlock) and terminals == {ts.sequential_result}
     return ExplorationReport(

@@ -110,7 +110,7 @@ def test_spmv_rejects_bad_policy(ones_file, coo_file, capsys):
     # str.isdigit accepts these, but they are not ASCII decimal counts
     for policy in ("chunks:\u00b2", "steal:\u0662"):
         code, _, err = run(capsys, "spmv", ones_file, coo_file, "--policy", policy)
-        assert code == 2 and "is not a positive integer" in err, policy
+        assert code == 2 and "is not a decimal integer" in err, policy
     # more digits than int() converts: a ConfigError naming the count
     for prefix in ("chunks:", "steal:"):
         policy = prefix + "0" * 5000 + "2"
@@ -136,28 +136,28 @@ def test_worker_cap_exits_2_without_threads(
     assert code == 2 and err.startswith("error:")
 
 
-def test_explore_race_model(tmp_path, capsys):
-    vec = tmp_path / "x.txt"
-    vec.write_text("1 1\n")
-    mat = tmp_path / "m.coo"
-    mat.write_text("2 1 2\n1 1 1\n2 1 2\n")
-    code, out, _ = run(
-        capsys, "explore", str(vec), str(mat), "--workers", "2", "--sync", "none_split_rw"
-    )
-    assert code == 1  # race reachable, so not sequential
-    lines = out.splitlines()
-    assert lines[0].startswith("states_visited ")
-    assert "deadlock_found false" in lines
-    assert "matches_sequential false" in lines
-    assert "terminal_count 3" in lines
-    assert lines[-3:] == ["terminal 1", "terminal 2", "terminal 3"]
+README = Path(__file__).parents[1] / "README.md"
 
-    code, out, _ = run(
-        capsys, "explore", str(vec), str(mat), "--workers", "2", "--sync", "atomic_rmw"
-    )
-    assert code == 0
-    assert "matches_sequential true" in out.splitlines()
-    assert "terminal 3" in out.splitlines()
+
+def test_explore_race_model(tmp_path, capsys, monkeypatch):
+    """Every ``explore`` run in README prints exactly what README shows,
+    on the files README's ``printf`` lines write."""
+    monkeypatch.chdir(tmp_path)
+    lines = README.read_text().splitlines()
+    transcripts = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ printf '"):
+            text, _, name = line[len("$ printf '") :].rpartition("' > ")
+            (tmp_path / name).write_text(text.replace("\\n", "\n"))
+        elif line.startswith("$ oraclekit explore "):
+            end = i + 1
+            while not lines[end].startswith(("$ ", "```")):
+                end += 1
+            code, out, _ = run(capsys, *line.split()[2:])
+            assert out == "".join(f"{t}\n" for t in lines[i + 1 : end]), line
+            transcripts.append((code, lines[i + 1]))
+    # the race model fails (exit 1), the atomic one matches (exit 0)
+    assert transcripts == [(1, "states_visited 13"), (0, "states_visited 4")]
 
 
 def test_check_selected_properties(capsys):
@@ -282,6 +282,60 @@ def test_valid_files_parse_without_the_token_regex(
         run_cli(["sort", str(bad)])
     with pytest.raises(RegexReached):
         spmv.coo_from_text("1 1 1\n1 1 one\n")
+
+
+def _explore_argv(tmp_path):
+    vec = tmp_path / "x.txt"
+    vec.write_text("1 1\n")
+    mat = tmp_path / "m.coo"
+    mat.write_text("2 1 2\n1 1 1\n2 1 2\n")
+    return ["explore", str(vec), str(mat)]
+
+
+INT_FLAGS = (
+    ("explore", "--workers"),
+    ("explore", "--max-states"),
+    ("check", "--seed"),
+    ("check", "--cases"),
+    ("check", "--max-len"),
+    ("check", "--value-lo"),
+    ("check", "--value-hi"),
+)
+
+
+@pytest.mark.parametrize("command,flag", INT_FLAGS)
+@pytest.mark.parametrize("value", ["\u0662", "\u0661\u0660", "0_2", " 2 ", "\t2", "2\n"])
+def test_integer_flags_take_ascii_decimals_only(tmp_path, capsys, command, flag, value):
+    # int() reads each of these as a number; no flag may run on them
+    argv = _explore_argv(tmp_path) if command == "explore" else ["check", "c1a.nonempty"]
+    code, out, err = run(capsys, *argv, f"{flag}={value}")
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} value {value!r} is not a decimal integer\n"
+
+
+@pytest.mark.parametrize("command,flag", INT_FLAGS)
+def test_integer_flags_reject_over_long_values_without_echo(tmp_path, capsys, command, flag):
+    argv = _explore_argv(tmp_path) if command == "explore" else ["check", "c1a.nonempty"]
+    code, _, err = run(capsys, *argv, flag, "0" * 5000 + "2")
+    assert (code, err) == (2, f"error: {flag} value of 5001 digits is too long\n")
+    assert "0" * 100 not in err
+
+
+def test_integer_flags_take_signed_ascii_decimals(tmp_path, capsys, ones_file, coo_file):
+    # the one integer grammar of the files, the flags and policy worker counts
+    code, out, _ = run(capsys, "spmv", ones_file, coo_file, "--policy", "chunks:+02")
+    assert (code, out) == (0, "5 11 1 0\n")
+    argv = _explore_argv(tmp_path)
+    race = ("--sync", "none_split_rw")
+    code, out, _ = run(capsys, *argv, *race, "--workers", "+02", "--max-states", "0013")
+    assert code == 1 and out.startswith("states_visited 13\n")
+    code, _, err = run(capsys, *argv, *race, "--max-states", "12")
+    assert code == 2 and "exceeded 12 states" in err
+    code, out, _ = run(
+        capsys, "check", "c1b.sorted", "--seed", "+7", "--cases", "012",
+        "--max-len", "5", "--value-lo", "-3", "--value-hi", "-1",
+    )
+    assert code == 0 and out == "c1b.sorted pass cases=12\ntotal 1 passed, 0 failed\n"
 
 
 def test_usage_errors_exit_2(capsys):

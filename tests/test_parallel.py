@@ -1,5 +1,7 @@
+import random
 import sys
 import threading
+from itertools import product
 
 import pytest
 
@@ -7,7 +9,9 @@ from oraclekit import parallel
 from oraclekit.errors import ConfigError, DimensionError, ModelTooLargeError
 from oraclekit.parallel import (
     MAX_WORKERS,
+    SYNC_MODES,
     AllocationPolicy,
+    ExplorationReport,
     TransitionSystem,
     _chunks,
     build_model,
@@ -17,7 +21,8 @@ from oraclekit.parallel import (
 from oraclekit.propcheck import GenConfig, gen_coo
 from oraclekit.spmv import INT64_MAX, accumulate, coo_from_triplets, multiply_seq
 
-_ACQUIRE = 1  # opcode used when hand-building explorer inputs
+# Opcodes used when hand-building explorer inputs and by the reference.
+_ADD, _ACQUIRE, _RELEASE, _READ, _WRITE = range(5)
 
 
 def test_chunks_are_balanced_disjoint_and_covering():
@@ -208,3 +213,150 @@ def test_explorer_detects_deadlock():
     assert report.deadlock_found
     assert not report.matches_sequential
     assert report.terminal_outputs == set()
+    assert report == _nested_explore(ts)
+
+
+def _nested_explore(ts, max_states=1_000_000):
+    """Reference explorer: a state is four tuples (pcs, cells, lock bits,
+    temps) rebuilt by slicing. The flat-tuple ``explore`` must give equal
+    reports, and hit the cap at the same state, on every model."""
+    actions = ts.worker_actions
+    nworkers = len(actions)
+    lengths = tuple(len(a) for a in actions)
+    use_locks = ts.sync_mode == "lock_per_cell"
+    use_temps = ts.sync_mode == "none_split_rw"
+
+    init_pcs = (0,) * nworkers
+    init_y = (0,) * ts.cols
+    init_locks = (0,) * ts.cols if use_locks else ()
+    init_temps = (0,) * nworkers if use_temps else ()
+    init = (init_pcs, init_y, init_locks, init_temps)
+
+    visited = set()
+    terminals = set()
+    deadlock = False
+    stack = [init]
+    while stack:
+        state = stack.pop()
+        if state in visited:
+            continue
+        visited.add(state)
+        if len(visited) > max_states:
+            raise ModelTooLargeError(
+                f"exploration exceeded {max_states} states",
+                states_visited=len(visited),
+                terminal_outputs_seen=len(terminals),
+            )
+        pcs, y, locks, temps = state
+        done = True
+        enabled_any = False
+        for w in range(nworkers):
+            pc = pcs[w]
+            if pc >= lengths[w]:
+                continue
+            done = False
+            op, cell, delta = actions[w][pc]
+            if op == _ACQUIRE and locks[cell]:
+                continue
+            enabled_any = True
+            new_pcs = pcs[:w] + (pc + 1,) + pcs[w + 1 :]
+            new_y, new_locks, new_temps = y, locks, temps
+            if op == _ADD:
+                new_y = y[:cell] + (y[cell] + delta,) + y[cell + 1 :]
+            elif op == _ACQUIRE:
+                new_locks = locks[:cell] + (1,) + locks[cell + 1 :]
+            elif op == _RELEASE:
+                new_locks = locks[:cell] + (0,) + locks[cell + 1 :]
+            elif op == _READ:
+                new_temps = temps[:w] + (y[cell],) + temps[w + 1 :]
+            else:
+                new_y = y[:cell] + (temps[w] + delta,) + y[cell + 1 :]
+                new_temps = temps[:w] + (0,) + temps[w + 1 :]
+            stack.append((new_pcs, new_y, new_locks, new_temps))
+        if done:
+            terminals.add(y)
+        elif not enabled_any:
+            deadlock = True
+
+    matches = (not deadlock) and terminals == {ts.sequential_result}
+    return ExplorationReport(
+        states_visited=len(visited),
+        terminal_outputs=frozenset(terminals),
+        deadlock_found=deadlock,
+        matches_sequential=matches,
+    )
+
+
+def _small_models():
+    """(x, matrix) of the c3.no_concurrency_issues enumeration: shapes up
+    to 2x2, every cell subset of at most 4 entries, values in {1, 2}."""
+    for rows, cols in product((1, 2), repeat=2):
+        cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+        for mask in range(1 << len(cells)):
+            chosen = [cells[i] for i in range(len(cells)) if mask >> i & 1]
+            for values in product((1, 2), repeat=len(chosen)):
+                triplets = [(r, c, v) for (r, c), v in zip(chosen, values)]
+                m = coo_from_triplets(rows, cols, triplets)
+                for x in product((1, 2), repeat=rows):
+                    yield list(x), m
+
+
+def _full(rows, cols):
+    return [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+
+
+def _blocks(per_worker, workers):
+    return [(r, (r - 1) // per_worker + 1) for r in range(1, per_worker * workers + 1)]
+
+
+# The benchmark's explorer model structures: (rows, cols, cells, workers,
+# sync mode, exact state count). Values do not change the state count.
+_BENCH_MODELS = (
+    (5, 4, _full(5, 4), 4, "atomic_rmw", 1_296),
+    (4, 3, _full(4, 3), 3, "lock_per_cell", 1_513),
+    (4, 4, _full(4, 4), 4, "lock_per_cell", 16_049),
+    (16, 4, _blocks(4, 4), 4, "none_split_rw", 6_561),
+    (20, 4, _blocks(5, 4), 4, "none_split_rw", 14_641),
+)
+
+
+def test_flat_explorer_matches_nested_reference_on_small_models():
+    count = 0
+    for x, m in _small_models():
+        for workers in (1, 2, 3, 4):
+            for sync in SYNC_MODES:
+                ts = build_model(x, m, workers, sync)
+                assert explore(ts) == _nested_explore(ts), (x, m, workers, sync)
+                count += 1
+    assert count == 384 * 4 * 3
+
+
+def test_flat_explorer_matches_nested_reference_on_benchmark_models():
+    rng = random.Random(9)
+    for rows, cols, cells, workers, sync, states in _BENCH_MODELS:
+        m = coo_from_triplets(rows, cols, [(r, c, rng.randint(1, 9)) for r, c in cells])
+        x = [rng.randint(1, 9) for _ in range(rows)]
+        ts = build_model(x, m, workers, sync)
+        report = explore(ts)
+        assert report.states_visited == states
+        assert report == _nested_explore(ts)
+
+
+def test_flat_explorer_matches_nested_reference_at_every_cap():
+    m = coo_from_triplets(2, 2, [(1, 1, 1), (1, 2, 2), (2, 1, 2)])
+    for sync in SYNC_MODES:
+        ts = build_model([1, 2], m, 2, sync)
+        full = explore(ts)
+        assert full == _nested_explore(ts)
+        terminals_seen = set()
+        for cap in range(full.states_visited):
+            caught = []
+            for explorer in (explore, _nested_explore):
+                with pytest.raises(ModelTooLargeError) as exc:
+                    explorer(ts, max_states=cap)
+                caught.append((exc.value.states_visited, exc.value.terminal_outputs_seen))
+            assert caught[0] == caught[1], (sync, cap)
+            assert caught[0][0] == cap + 1
+            terminals_seen.add(caught[0][1])
+        assert terminals_seen == set(range(len(full.terminal_outputs) + 1)), sync
+        assert explore(ts, max_states=full.states_visited) == full
