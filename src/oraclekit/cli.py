@@ -245,10 +245,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once per process; parse_args keeps no state
+
+
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse has already printed its message
         return exc.code if isinstance(exc.code, int) else 2

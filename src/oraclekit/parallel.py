@@ -228,20 +228,24 @@ class ExplorationReport:
 def explore(ts: TransitionSystem, max_states: int = 1_000_000) -> ExplorationReport:
     """Enumerate every interleaving of the model's atomic actions.
 
-    Depth-first search with visited-state memoization. A state is one
-    flat tuple, the worker program counters ``[0:W]`` then the shared
-    cells ``[W:W+C]``, then the lock bits (lock_per_cell) or the worker
-    temps (none_split_rw). A successor copies the state into a list,
-    sets the one or two slots the action changes and freezes it; each
-    popped state is hashed once, by the ``add`` to the visited set.
-    Raises ModelTooLargeError with partial statistics when more than
-    ``max_states`` states are visited.
+    Depth-first search with visited-state memoization over the K cells
+    some action touches, renumbered ``0..K-1``; the other columns stay 0
+    and are filled back into each terminal. A state is one flat tuple:
+    worker program counters ``[0:W]``, cells ``[W:W+K]``, then the lock
+    bits (lock_per_cell) or the worker temps (none_split_rw). A successor
+    copies the state into a list, sets the one or two slots the action
+    changes and freezes it; each popped state is hashed once, by the
+    ``add`` to the visited set. Raises ModelTooLargeError with partial
+    statistics when more than ``max_states`` states are visited.
     """
-    actions = ts.worker_actions
+    touched = sorted({cell for acts in ts.worker_actions for _, cell, _ in acts})
+    slot = {cell: k for k, cell in enumerate(touched)}
+    actions = [[(op, slot[c], d) for op, c, d in acts] for acts in ts.worker_actions]
     nworkers = len(actions)
     lengths = tuple(len(a) for a in actions)
-    y0, aux0 = nworkers, nworkers + ts.cols  # aux: lock bit per cell or temp per worker
-    naux = {"lock_per_cell": ts.cols, "none_split_rw": nworkers}.get(ts.sync_mode, 0)
+    ncells = len(touched)
+    y0, aux0 = nworkers, nworkers + ncells  # aux: lock bit per cell or temp per worker
+    naux = {"lock_per_cell": ncells, "none_split_rw": nworkers}.get(ts.sync_mode, 0)
 
     visited: set = set()
     terminals: set = set()
@@ -287,10 +291,13 @@ def explore(ts: TransitionSystem, max_states: int = 1_000_000) -> ExplorationRep
             else:
                 deadlock = True
 
-    matches = (not deadlock) and terminals == {ts.sequential_result}
+    # Terminals at full width: an untouched column reads the 0 past the cells.
+    pick = [slot.get(c, ncells) for c in range(ts.cols)]
+    outputs = {tuple(map((*cells, 0).__getitem__, pick)) for cells in terminals}
+    matches = (not deadlock) and outputs == {ts.sequential_result}
     return ExplorationReport(
         states_visited=len(visited),
-        terminal_outputs=frozenset(terminals),
+        terminal_outputs=frozenset(outputs),
         deadlock_found=deadlock,
         matches_sequential=matches,
     )

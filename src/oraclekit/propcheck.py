@@ -136,6 +136,10 @@ def gen_coo(cfg: GenConfig, case_index: int) -> CooCase:
     10-50 percent with stochastic rounding so tiny matrices still get
     occasional entries.
     """
+    lo, hi = cfg.value_lo, cfg.value_hi
+    if lo > _COO_CAP or hi < -_COO_CAP:  # _clamped would draw from an empty range
+        cap = f"[{-_COO_CAP}, {_COO_CAP}]"
+        raise ConfigError(f"value range [{lo}, {hi}] misses the COO value range {cap}")
     rng = CaseRng(cfg.seed, case_index)
     dim_cap = max(1, min(cfg.max_len, _COO_MAX_DIM))
     rows = rng.next_int(1, dim_cap)
@@ -151,7 +155,6 @@ def gen_coo(cfg: GenConfig, case_index: int) -> CooCase:
         cells[i], cells[j] = cells[j], cells[i]
     chosen = sorted(cells[:nnz])
 
-    lo, hi = cfg.value_lo, cfg.value_hi
     triplets = [
         (cell // cols + 1, cell % cols + 1, _clamped(rng, lo, hi)) for cell in chosen
     ]
@@ -233,12 +236,12 @@ class PropertyResult:
 def run_suite(
     names: Sequence[str], cfg: GenConfig, registry: Optional[dict] = None
 ) -> list[PropertyResult]:
-    """Run named properties case-major over one generated stream.
+    """Run named properties case-major, one generated stream per kind.
 
     Each case is generated once and fed to every still-active property
     of its kind; a property stops at its first failure, which is then
-    shrunk. Fixed properties (exhaustive sweeps, pinned witnesses) run
-    once and ignore the case stream.
+    shrunk. Fixed properties (exhaustive sweeps, pinned witnesses) get
+    one ``None`` case and no shrinker. Results follow ``names``.
     """
     from .properties import REGISTRY
 
@@ -247,50 +250,34 @@ def run_suite(
     unknown = [n for n in names if n not in reg]
     if unknown:
         raise ConfigError(f"unknown properties: {', '.join(sorted(unknown))}")
-    props = [reg[n] for n in names]
+    streams = {  # kind -> generator, shrinker, case count
+        "fixed": (lambda _cfg, _i: None, None, 1),
+        "sequence": (gen_sequence, shrink_sequence, cfg.cases),
+        "coo": (gen_coo, shrink_coo, cfg.cases),
+    }
+    odd = [n for n in names if reg[n].kind not in streams]
+    if odd:
+        raise ConfigError(f"properties of unknown kind: {', '.join(sorted(odd))}")
 
-    failures: dict[str, tuple[object, object, str]] = {}
-    cases_ran: dict[str, int] = {n: 0 for n in names}
-
-    fixed = [p for p in props if p.kind == "fixed"]
-    for p in fixed:
-        msg = p.check(None)
-        cases_ran[p.name] = 1
-        if msg is not None:
-            failures[p.name] = (None, None, msg)
-
-    for kind, generate, shrinker in (
-        ("sequence", gen_sequence, shrink_sequence),
-        ("coo", gen_coo, shrink_coo),
-    ):
-        active = [p for p in props if p.kind == kind]
-        if not active:
-            continue
-        for case_index in range(cfg.cases):
-            value = generate(cfg, case_index)
+    results: dict[str, PropertyResult] = {}
+    for kind, (generate, shrinker, cases) in streams.items():
+        active = [reg[n] for n in names if reg[n].kind == kind]
+        for i in range(cases):
+            if not active:
+                break
+            value = generate(cfg, i)
             still = []
             for p in active:
                 msg = p.check(value)
-                cases_ran[p.name] += 1
                 if msg is None:
                     still.append(p)
                     continue
-
-                def fails(cand: object, p=p) -> bool:
-                    return p.check(cand) is not None
-
-                shrunk = shrinker(value, fails)
-                failures[p.name] = (value, shrunk, msg)
+                example = None
+                if shrinker is not None:
+                    shrunk = shrinker(value, lambda c, p=p: p.check(c) is not None)
+                    example = (value, shrunk)
+                results[p.name] = PropertyResult(p.name, "fail", i + 1, example, msg)
             active = still
-            if not active:
-                break
-
-    results = []
-    for name in names:
-        if name in failures:
-            original, shrunk, msg = failures[name]
-            example = None if original is None else (original, shrunk)
-            results.append(PropertyResult(name, "fail", cases_ran[name], example, msg))
-        else:
-            results.append(PropertyResult(name, "pass", cases_ran[name]))
-    return results
+        for p in active:
+            results[p.name] = PropertyResult(p.name, "pass", cases)
+    return [results[n] for n in names]

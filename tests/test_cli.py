@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import oraclekit
-from oraclekit import parallel, spmv
+from oraclekit import cli, ghcsort, parallel, spmv
 from oraclekit.cli import run_cli
 from oraclekit.spmv import INT64_MAX, INT64_MIN
 
@@ -214,6 +214,10 @@ def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "cutpoints", str(huge))
     assert code == 2 and "64 bits" in err
 
+    arabic = tmp_path / "arabic.txt"
+    arabic.write_text("1 \u0662 3\n", encoding="utf-8")
+    assert run(capsys, "sort", str(arabic)) == (2, "", f"error: {arabic} is not ASCII text\n")
+
 
 @pytest.mark.parametrize(
     "text, out",
@@ -372,3 +376,80 @@ def test_idle_pool_does_not_block_exit(ones_file, coo_file):
     proc = run_module("spmv", "--policy", "steal:2", ones_file, coo_file, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "5 11 1 0\n"
+
+
+def test_check_reports_a_broken_coo_property(capsys, monkeypatch):
+    def drop_last_triplet(x, m):
+        y = [0] * m.cols
+        for r, c, v in list(zip(m.row_idx, m.col_idx, m.vals))[:-1]:
+            y[c] += x[r] * v
+        return y
+
+    monkeypatch.setattr(spmv, "multiply_seq", drop_last_triplet)
+    argv = ("check", "c3.seq_correct", "--max-len", "2", "--value-lo", "-9", "--value-hi", "9")
+    assert run(capsys, *argv) == (
+        1,
+        "c3.seq_correct fail cases=1\n"
+        "  reason: multiply_seq [0] != dense oracle [-42]\n"
+        "  counterexample: x=[4, -7] matrix=2x1 triplets=[(2, 1, 6)]\n"
+        "  shrunk: x=[0, -1] matrix=2x1 triplets=[(2, 1, 1)]\n"
+        "total 0 passed, 1 failed\n",
+        "",
+    )
+
+
+def test_check_reports_broken_sequence_properties(capsys, monkeypatch):
+    def merge_tie_drop(a, b):
+        out, x, y = [], 0, 0
+        while x < len(a) and y < len(b):
+            if a[x] < b[y]:
+                out.append(a[x])
+                x += 1
+            elif b[y] < a[x]:
+                out.append(b[y])
+                y += 1
+            else:  # ties emit one copy, not two
+                out.append(a[x])
+                x += 1
+                y += 1
+        return out + a[x:] + b[y:]
+
+    monkeypatch.setattr(ghcsort, "merge", merge_tie_drop)
+    names = ("c1b.merge_sorted", "c1b.permutation", "c1b.sorted")
+    flags = ("--max-len", "6", "--value-lo", "0", "--value-hi", "9")
+    assert run(capsys, "check", *names, *flags) == (
+        1,
+        "c1b.merge_sorted fail cases=4\n"
+        "  reason: merge([0, 2, 2], [0, 1, 3]) lost or invented elements:"
+        " [0, 1, 2, 2, 3]\n"
+        "  counterexample: [2, 0, 2, 0, 3, 1]\n"
+        "  shrunk: [0, 0]\n"
+        "c1b.permutation fail cases=4\n"
+        "  reason: ghc_sort output is not a permutation of the input: [0, 1, 2, 3]\n"
+        "  counterexample: [2, 0, 2, 0, 3, 1]\n"
+        "  shrunk: [0, 1, 0]\n"
+        "c1b.sorted pass cases=100\n"
+        "total 1 passed, 2 failed\n",
+        "",
+    )
+
+
+def test_check_rejects_value_ranges_outside_the_coo_cap(capsys):
+    for lo, hi in (("2000000", "3000000"), ("-3000000", "-2000000")):
+        assert run(capsys, "check", "c3.seq_correct", "--value-lo", lo, "--value-hi", hi) == (
+            2,
+            "",
+            f"error: value range [{lo}, {hi}] misses the COO value range"
+            " [-1048576, 1048576]\n",
+        )
+
+
+def test_parser_is_built_once(seq_file, capsys, monkeypatch):
+    def no_rebuild():
+        raise AssertionError("run_cli rebuilt the parser")
+
+    monkeypatch.setattr(cli, "_build_parser", no_rebuild)
+    for _ in range(2):
+        assert run(capsys, "ansv", seq_file) == (0, "0 1 2 0 4 5 6 6 8\n", "")
+    assert run(capsys, "ansv", "--dir", "up", seq_file)[0] == 2
+    assert run(capsys, "ansv", seq_file, "--dir", "right")[:2] == (0, "4 4 4 0 0 0 8 0 0\n")

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -360,3 +361,21 @@ def test_flat_explorer_matches_nested_reference_at_every_cap():
             terminals_seen.add(caught[0][1])
         assert terminals_seen == set(range(len(full.terminal_outputs) + 1)), sync
         assert explore(ts, max_states=full.states_visited) == full
+
+
+def test_explore_holds_only_touched_columns():
+    # 8 triplets spread over a 1 x 20,000 matrix, one per worker: 256
+    # states. Holding every column would cost 160 KB per state, 40 MB in all.
+    cols = 20_000
+    m = coo_from_triplets(1, cols, [(1, c, c) for c in range(1, cols + 1, 2_500)])
+    ts = build_model([3], m, 8, "atomic_rmw")
+    tracemalloc.start()
+    try:
+        report = explore(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.states_visited == 2**8
+    assert report.terminal_outputs == {ts.sequential_result}
+    assert report.matches_sequential and not report.deadlock_found
+    assert peak < 2_000_000, peak

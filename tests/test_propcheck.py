@@ -1,5 +1,6 @@
 import pytest
 
+from oraclekit import ansv, ghcsort
 from oraclekit.errors import ConfigError
 from oraclekit.propcheck import (
     CaseRng,
@@ -11,7 +12,7 @@ from oraclekit.propcheck import (
     shrink_coo,
     shrink_sequence,
 )
-from oraclekit.properties import Property
+from oraclekit.properties import PROPERTY_NAMES, Property
 from oraclekit.spmv import multiply_seq
 
 
@@ -115,6 +116,9 @@ def test_shrink_coo_drops_and_halves():
 def test_run_suite_rejects_unknown_names():
     with pytest.raises(ConfigError):
         run_suite(["c1a.nonempty", "no.such.prop"], GenConfig())
+    registry = {"toy.odd": Property("toy.odd", "matrix", lambda _v: None, "bad kind")}
+    with pytest.raises(ConfigError, match="properties of unknown kind: toy.odd"):
+        run_suite(["toy.odd"], GenConfig(), registry=registry)
 
 
 def test_run_suite_pass_counts():
@@ -162,3 +166,196 @@ def test_run_suite_shrinks_failures():
 def test_property_result_shape():
     r = PropertyResult("x", "pass", 3)
     assert r.passed and r.counterexample is None and r.message == ""
+
+
+def test_gen_coo_rejects_value_ranges_outside_the_cap():
+    cap = 1 << 20
+    for lo, hi in ((2_000_000, 3_000_000), (-3_000_000, -2_000_000), (cap + 1, cap + 1)):
+        with pytest.raises(ConfigError) as exc:
+            gen_coo(GenConfig(value_lo=lo, value_hi=hi), 0)
+        assert str(exc.value) == (
+            f"value range [{lo}, {hi}] misses the COO value range [{-cap}, {cap}]"
+        )
+    # sequence properties never draw a COO case, so such a range still runs them
+    results = run_suite(["c1a.nonempty"], GenConfig(value_lo=2_000_000, value_hi=3_000_000))
+    assert [r.status for r in results] == ["pass"]
+
+
+def test_gen_coo_stream_is_pinned():
+    # ranges that touch the cap, and the default one, draw what they always drew
+    cap = 1 << 20
+    x, m = gen_coo(GenConfig(seed=1), 0)
+    assert x == [-25, 821, -147, 209, -488, 689, 601, -720]
+    assert (m.rows, m.cols, len(m.vals), sum(m.vals)) == (8, 7, 28, 502)
+    for lo, hi in ((cap, 3_000_000), (-3_000_000, -cap)):
+        x, m = gen_coo(GenConfig(seed=3, value_lo=lo, value_hi=hi), 0)
+        v = cap if lo > 0 else -cap
+        assert x == [v] * 5
+        assert list(m.to_triplets()) == [
+            (r, c, v) for r, c in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 3), (4, 1), (4, 2))
+        ]
+
+
+# --- differential pin: the one case loop against the three-phase harness ---
+
+
+def _reference_run_suite(names, cfg, registry=None):
+    """The harness before the single case loop: fixed properties first,
+    then one phase per generated kind, then one pass assembling results
+    from two dicts. ``run_suite`` must return equal results and make the
+    same checks in the same order."""
+    from oraclekit.properties import REGISTRY
+
+    reg = registry if registry is not None else REGISTRY
+    names = list(dict.fromkeys(names))
+    unknown = [n for n in names if n not in reg]
+    if unknown:
+        raise ConfigError(f"unknown properties: {', '.join(sorted(unknown))}")
+    props = [reg[n] for n in names]
+
+    failures = {}
+    cases_ran = {n: 0 for n in names}
+
+    for p in props:
+        if p.kind == "fixed":
+            msg = p.check(None)
+            cases_ran[p.name] = 1
+            if msg is not None:
+                failures[p.name] = (None, None, msg)
+
+    for kind, generate, shrinker in (
+        ("sequence", gen_sequence, shrink_sequence),
+        ("coo", gen_coo, shrink_coo),
+    ):
+        active = [p for p in props if p.kind == kind]
+        if not active:
+            continue
+        for case_index in range(cfg.cases):
+            value = generate(cfg, case_index)
+            still = []
+            for p in active:
+                msg = p.check(value)
+                cases_ran[p.name] += 1
+                if msg is None:
+                    still.append(p)
+                    continue
+
+                def fails(cand, p=p):
+                    return p.check(cand) is not None
+
+                failures[p.name] = (value, shrinker(value, fails), msg)
+            active = still
+            if not active:
+                break
+
+    results = []
+    for name in names:
+        if name in failures:
+            original, shrunk, msg = failures[name]
+            example = None if original is None else (original, shrunk)
+            results.append(PropertyResult(name, "fail", cases_ran[name], example, msg))
+        else:
+            results.append(PropertyResult(name, "pass", cases_ran[name]))
+    return results
+
+
+def _assert_same_as_reference(names, cfg, registry=None):
+    got = run_suite(names, cfg, registry=registry)
+    assert got == _reference_run_suite(names, cfg, registry=registry)
+    return got
+
+
+def test_run_suite_matches_reference_on_every_property():
+    names = list(PROPERTY_NAMES)
+    for seed in (1, 2, 3):
+        got = _assert_same_as_reference(names, GenConfig(seed=seed, cases=4, max_len=10))
+        assert [r.name for r in got] == names and all(r.passed for r in got)
+
+
+def _logging_registry(log):
+    """Toy properties that record every check call: one failing at case 0,
+    one at a later case, a COO failure, a fixed failure and two passes."""
+
+    def prop(name, kind, bad):
+        def check(value):
+            log.append((name, repr(value)))
+            return f"{name} rejects it" if bad(value) else None
+
+        return Property(name, kind, check, name)
+
+    return {
+        p.name: p
+        for p in (
+            prop("toy.first", "sequence", lambda s: True),
+            prop("toy.big", "sequence", lambda s: bool(s) and max(s) >= 900),
+            prop("toy.seq_ok", "sequence", lambda s: False),
+            prop("toy.coo_big", "coo", lambda v: any(abs(t) >= 700 for t in v[1].vals)),
+            prop("toy.coo_ok", "coo", lambda v: False),
+            prop("toy.fixed_bad", "fixed", lambda v: True),
+            prop("toy.fixed_ok", "fixed", lambda v: False),
+        )
+    }
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ["toy.first", "toy.big", "toy.seq_ok", "toy.coo_big", "toy.coo_ok",
+         "toy.fixed_bad", "toy.fixed_ok"],
+        # out of kind order, with duplicates
+        ["toy.coo_ok", "toy.big", "toy.fixed_ok", "toy.coo_big", "toy.big",
+         "toy.fixed_bad", "toy.first", "toy.coo_ok"],
+        ["toy.big"],
+        ["toy.coo_big", "toy.fixed_bad"],
+        [],
+    ],
+)
+@pytest.mark.parametrize("cases", [0, 1, 60])
+def test_run_suite_matches_reference_on_toy_registries(names, cases):
+    new_log, ref_log = [], []
+    cfg = GenConfig(seed=4, cases=cases, max_len=20)
+    got = run_suite(names, cfg, registry=_logging_registry(new_log))
+    want = _reference_run_suite(names, cfg, registry=_logging_registry(ref_log))
+    assert got == want
+    assert new_log == ref_log  # same checks, shrink steps included, same order
+    if cases == 60 and "toy.big" in names:
+        big = next(r for r in got if r.name == "toy.big")
+        assert big.status == "fail" and big.cases_run > 1  # fails after case 0
+
+
+def _merge_tie_drop(a, b):
+    out, x, y = [], 0, 0
+    while x < len(a) and y < len(b):
+        if a[x] < b[y]:
+            out.append(a[x])
+            x += 1
+        elif b[y] < a[x]:
+            out.append(b[y])
+            y += 1
+        else:  # the injected bug: ties emit one copy, not two
+            out.append(a[x])
+            x += 1
+            y += 1
+    return out + a[x:] + b[y:]
+
+
+def _pop_survivor(s, tally=None):
+    out, stack = [], []
+    for x in range(len(s)):
+        while stack and s[stack[-1]] >= s[x]:
+            stack.pop()
+        out.append(stack.pop() if stack else None)  # the injected bug
+        stack.append(x)
+    return ansv.NeighborArray(tuple(out), "left")
+
+
+@pytest.mark.parametrize(
+    "module, name, mutant",
+    [(ghcsort, "merge", _merge_tie_drop), (ansv, "left_neighbors", _pop_survivor)],
+    ids=["merge_tie_drop", "pop_survivor"],
+)
+def test_run_suite_matches_reference_on_mutants(monkeypatch, module, name, mutant):
+    monkeypatch.setattr(module, name, mutant)
+    names = [n for n in PROPERTY_NAMES if n.startswith(("c1", "c2"))]
+    got = _assert_same_as_reference(names, GenConfig(seed=1, cases=300, max_len=30))
+    assert any(r.counterexample for r in got)
