@@ -1,12 +1,11 @@
-"""Cartesian tree construction from nearest-smaller-value arrays.
+"""Cartesian tree construction by one nearest-smaller-value stack pass.
 
 The Cartesian tree of a distinct-valued sequence is the unique binary
 tree with one node per index whose in-order traversal is the sequence
-itself and whose values satisfy the min-heap property. It is built in
-linear time from the left/right neighbor arrays: each index hangs off
-whichever of its two nearest smaller values is larger (the closer
+itself and whose values satisfy the min-heap property. Each index hangs
+off whichever of its two nearest smaller values is larger (the closer
 floor), indices with one neighbor hang off that one, and the index with
-neither is the root.
+neither is the root; one nearest-smaller-value stack pass links them all.
 
 The tree is stored as parallel parent/left_child/right_child index
 arrays; a child smaller than its parent index is the left child, which
@@ -18,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ansv import left_neighbors, right_neighbors
+# Unused here, but perfbench/tracing.py wraps these two names in this module.
+from .ansv import left_neighbors, right_neighbors  # noqa: F401
 from .errors import DuplicateValuesError, MalformedTreeError
 from .instrument import Tally
 
@@ -47,49 +47,41 @@ def _require_distinct(s: Sequence[int]) -> None:
         raise DuplicateValuesError("sequence values must be distinct")
 
 
-def _links_from_parent(
-    parent: list[Optional[int]], root: Optional[int]
-) -> CartesianTree:
-    n = len(parent)
-    left_child: list[Optional[int]] = [None] * n
-    right_child: list[Optional[int]] = [None] * n
-    for x in range(n):
-        p = parent[x]
-        if p is None:
-            continue
-        if x < p:
-            left_child[p] = x
-        else:
-            right_child[p] = x
-    return CartesianTree(tuple(parent), tuple(left_child), tuple(right_child), root)
-
-
 def build_tree(s: Sequence[int], tally: Optional[Tally] = None) -> CartesianTree:
     """Build the Cartesian tree of a distinct-valued sequence.
 
     Parent rule per index x: the left neighbor if x has no right
     neighbor, the right neighbor if it has no left one, the neighbor
     with the LARGER value when both exist, and root when neither does.
-    Runs in O(n); the two neighbor scans contribute at most 2n pops
-    (counted into ``tally`` when given).
+    One left-to-right stack pass applies it, because x pops y exactly
+    when x is y's right neighbor, and the entry beneath y is y's left
+    neighbor: x first hangs off the top that survives its pops, and the
+    last entry x pops, the one whose left neighbor is smaller than x,
+    moves under x. The bottom entry left is the root. O(n), at most n
+    pops (counted into ``tally.pops`` when given).
     """
     _require_distinct(s)
     n = len(s)
-    left = left_neighbors(s, tally).neighbors
-    right = right_neighbors(s, tally).neighbors
     parent: list[Optional[int]] = [None] * n
-    root: Optional[int] = None
+    left_child: list[Optional[int]] = [None] * n
+    right_child: list[Optional[int]] = [None] * n
+    stack: list[int] = []
     for x in range(n):
-        l, r = left[x], right[x]
-        if l is None and r is None:
-            root = x
-        elif r is None:
-            parent[x] = l
-        elif l is None:
-            parent[x] = r
-        else:
-            parent[x] = l if s[l] > s[r] else r
-    return _links_from_parent(parent, root)
+        v = s[x]
+        last = None
+        while stack and s[stack[-1]] > v:
+            last = stack.pop()
+        if last is not None:
+            left_child[x] = last
+            parent[last] = x
+        if stack:
+            right_child[stack[-1]] = x
+            parent[x] = stack[-1]
+        stack.append(x)
+    if tally is not None:
+        tally.pops += n - len(stack)  # every index is pushed once
+    root = stack[0] if stack else None
+    return CartesianTree(tuple(parent), tuple(left_child), tuple(right_child), root)
 
 
 def in_order(t: CartesianTree) -> list[int]:
@@ -201,11 +193,13 @@ def oracle_tree(s: Sequence[int]) -> CartesianTree:
     The minimum of a range is its subtree root; left and right
     sub-ranges build the subtrees. Pending ranges sit on an explicit
     stack, so no input size hits the recursion limit. Independent of the
-    neighbor-array path; equals build_tree on every distinct-valued
+    stack pass in build_tree; equals build_tree on every distinct-valued
     input because the Cartesian tree is unique.
     """
     _require_distinct(s)
     parent: list[Optional[int]] = [None] * len(s)
+    left_child: list[Optional[int]] = [None] * len(s)
+    right_child: list[Optional[int]] = [None] * len(s)
     # Pending (lo, hi, parent of the range's minimum; None for the root).
     stack: list[tuple[int, int, Optional[int]]] = [(0, len(s), None)]
     while stack:
@@ -216,7 +210,9 @@ def oracle_tree(s: Sequence[int]) -> CartesianTree:
                 if s[i] < s[m]:
                     m = i
             parent[m] = above
+            if above is not None:
+                (left_child if m < above else right_child)[above] = m
             stack.append((lo, m, m))
             stack.append((m + 1, hi, m))
     root = min(range(len(s)), key=s.__getitem__, default=None)
-    return _links_from_parent(parent, root)
+    return CartesianTree(tuple(parent), tuple(left_child), tuple(right_child), root)

@@ -140,6 +140,8 @@ def gen_coo(cfg: GenConfig, case_index: int) -> CooCase:
     if lo > _COO_CAP or hi < -_COO_CAP:  # _clamped would draw from an empty range
         cap = f"[{-_COO_CAP}, {_COO_CAP}]"
         raise ConfigError(f"value range [{lo}, {hi}] misses the COO value range {cap}")
+    if lo == hi == 0:  # _clamped would turn the only value into -1
+        raise ConfigError("value range [0, 0] holds no nonzero COO value")
     rng = CaseRng(cfg.seed, case_index)
     dim_cap = max(1, min(cfg.max_len, _COO_MAX_DIM))
     rows = rng.next_int(1, dim_cap)

@@ -1,3 +1,4 @@
+import random
 import sys
 from itertools import permutations, product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oraclekit.ansv import left_neighbors, right_neighbors
 from oraclekit.cartesian import (
     CartesianTree,
     TreeReport,
@@ -14,6 +16,7 @@ from oraclekit.cartesian import (
     oracle_tree,
 )
 from oraclekit.errors import DuplicateValuesError, MalformedTreeError
+from oraclekit.instrument import Tally
 
 PINNED_SEQ = [4, 7, 8, 1, 2, 3, 9, 5, 6]
 
@@ -55,24 +58,92 @@ def test_duplicates_rejected():
         oracle_tree([3, 3])
 
 
+# --- differential pin: the stack pass against the neighbor-array build ---
+
+
+def _reference_links_from_parent(parent, root):
+    n = len(parent)
+    left_child = [None] * n
+    right_child = [None] * n
+    for x in range(n):
+        p = parent[x]
+        if p is None:
+            continue
+        if x < p:
+            left_child[p] = x
+        else:
+            right_child[p] = x
+    return CartesianTree(tuple(parent), tuple(left_child), tuple(right_child), root)
+
+
+def _reference_build_tree(s):
+    """The four-pass build (left scan, right scan, parent rule, child
+    links), kept as the reference."""
+    n = len(s)
+    left = left_neighbors(s).neighbors
+    right = right_neighbors(s).neighbors
+    parent = [None] * n
+    root = None
+    for x in range(n):
+        l, r = left[x], right[x]
+        if l is None and r is None:
+            root = x
+        elif r is None:
+            parent[x] = l
+        elif l is None:
+            parent[x] = r
+        else:
+            parent[x] = l if s[l] > s[r] else r
+    return _reference_links_from_parent(parent, root)
+
+
 def test_oracle_handles_inputs_beyond_the_recursion_limit():
-    s = list(range(sys.getrecursionlimit() + 500))  # a chain of right children
-    assert oracle_tree(s) == build_tree(s)
+    n = sys.getrecursionlimit() + 500
+    # chains of right children and of left children
+    for s in (list(range(n)), list(range(n, 0, -1))):
+        assert oracle_tree(s) == build_tree(s) == _reference_build_tree(s)
 
 
 def test_matches_oracle_all_small_permutations():
-    for n in range(7):
+    for n in range(8):
         for perm in permutations(range(1, n + 1)):
             s = list(perm)
-            assert build_tree(s) == oracle_tree(s), s
+            assert build_tree(s) == oracle_tree(s) == _reference_build_tree(s), s
+
+
+def test_matches_reference_on_seeded_distinct_inputs():
+    rng = random.Random(11)
+    for _ in range(300):
+        s = rng.sample(range(-10**6, 10**6), rng.randint(0, 400))
+        assert build_tree(s) == oracle_tree(s) == _reference_build_tree(s), s
 
 
 @settings(max_examples=200)
 @given(st.lists(st.integers(-10**6, 10**6), unique=True, max_size=80))
 def test_matches_oracle_random_distinct(s):
     t = build_tree(s)
-    assert t == oracle_tree(s)
+    assert t == oracle_tree(s) == _reference_build_tree(s)
     assert check_tree(s, t).all_ok()
+
+
+def test_tally_counts_at_most_n_pops():
+    n = 10**5
+    perm = list(range(n))
+    random.Random(5).shuffle(perm)
+    for s in (list(range(n)), list(range(n, 0, -1)), perm):
+        tally = Tally()
+        build_tree(s, tally)
+        # each pop is made by the popped index's right neighbor
+        with_right = sum(r is not None for r in right_neighbors(s).neighbors)
+        assert tally.pops == with_right <= n
+
+
+def test_tally_accumulates_across_calls():
+    tally = Tally()
+    build_tree([3, 2, 1], tally)
+    assert tally.pops == 2
+    build_tree([3, 2, 1], tally)
+    assert tally.pops == 4
 
 
 def test_heap_check_catches_inverted_link():

@@ -444,6 +444,14 @@ def test_check_rejects_value_ranges_outside_the_coo_cap(capsys):
         )
 
 
+def test_check_rejects_the_zero_value_range(capsys):
+    assert run(capsys, "check", "c3.seq_correct", "--value-lo", "0", "--value-hi", "0") == (
+        2,
+        "",
+        "error: value range [0, 0] holds no nonzero COO value\n",
+    )
+
+
 def test_parser_is_built_once(seq_file, capsys, monkeypatch):
     def no_rebuild():
         raise AssertionError("run_cli rebuilt the parser")

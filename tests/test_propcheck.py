@@ -181,6 +181,17 @@ def test_gen_coo_rejects_value_ranges_outside_the_cap():
     assert [r.status for r in results] == ["pass"]
 
 
+def test_gen_coo_rejects_the_zero_range():
+    with pytest.raises(ConfigError) as exc:
+        gen_coo(GenConfig(value_lo=0, value_hi=0), 0)
+    assert str(exc.value) == "value range [0, 0] holds no nonzero COO value"
+    # every other range that holds 0 also holds 1 or -1, which 0 turns into
+    for lo, hi in ((0, 1), (-1, 0), (-1, 1), (-2, 0)):
+        for i in range(20):
+            x, m = gen_coo(GenConfig(seed=4, value_lo=lo, value_hi=hi), i)
+            assert all(v and lo <= v <= hi for v in x + list(m.vals)), (lo, hi, i)
+
+
 def test_gen_coo_stream_is_pinned():
     # ranges that touch the cap, and the default one, draw what they always drew
     cap = 1 << 20
