@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .instrument import Tally
+from .instrument import FlagReport, Tally
 
 __all__ = [
     "AnsvReport",
@@ -42,16 +42,14 @@ def _scan(s: Sequence[int], order: range) -> tuple[list[Optional[int]], list[int
     """Run the stack pass over ``order``; return (neighbors, final stack, pops)."""
     out: list[Optional[int]] = [None] * len(s)
     stack: list[int] = []
-    pops = 0
     for x in order:
         v = s[x]
         while stack and s[stack[-1]] >= v:
             stack.pop()
-            pops += 1
         if stack:
             out[x] = stack[-1]
         stack.append(x)
-    return out, stack, pops
+    return out, stack, len(order) - len(stack)  # every index is pushed once
 
 
 def left_neighbors(s: Sequence[int], tally: Optional[Tally] = None) -> NeighborArray:
@@ -106,15 +104,12 @@ def oracle_neighbors(s: Sequence[int], direction: str) -> NeighborArray:
 
 
 @dataclass(frozen=True)
-class AnsvReport:
+class AnsvReport(FlagReport):
     """Outcome of the three left-neighbor checks."""
 
     index_ok: bool
     value_ok: bool
     smallest_ok: bool
-
-    def all_ok(self) -> bool:
-        return self.index_ok and self.value_ok and self.smallest_ok
 
 
 def check_ansv(s: Sequence[int], a: NeighborArray) -> AnsvReport:

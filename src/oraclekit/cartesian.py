@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 # Unused here, but perfbench/tracing.py wraps these two names in this module.
 from .ansv import left_neighbors, right_neighbors  # noqa: F401
 from .errors import DuplicateValuesError, MalformedTreeError
-from .instrument import Tally
+from .instrument import FlagReport, Tally
 
 __all__ = [
     "CartesianTree",
@@ -127,15 +127,12 @@ def in_order(t: CartesianTree) -> list[int]:
 
 
 @dataclass(frozen=True)
-class TreeReport:
+class TreeReport(FlagReport):
     """Outcome of the three Cartesian-tree checks."""
 
     binary_ok: bool
     heap_ok: bool
     traversal_ok: bool
-
-    def all_ok(self) -> bool:
-        return self.binary_ok and self.heap_ok and self.traversal_ok
 
 
 def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:

@@ -78,15 +78,18 @@ def _one_based(indices) -> str:
     return " ".join("0" if i is None else str(i + 1) for i in indices)
 
 
+def _print_flags(flags: list[tuple[str, bool]]) -> int:
+    """One ``name true|false`` line per flag, in order; the exit code."""
+    for name, ok in flags:
+        print(f"{name} {_bool(ok)}")
+    return 0 if all(ok for _, ok in flags) else 1
+
+
 def _cmd_cutpoints(args: argparse.Namespace) -> int:
     s = _load_sequence(args.file)
     cut = monotonic.compute_cutpoints(s)
-    report = monotonic.check_cutpoints(s, cut)
     print(" ".join(map(str, cut)))
-    keys = ("non_empty", "begin_to_end", "within_bounds", "monotonic", "right_maximal")
-    for key in keys:
-        print(f"{key} {_bool(getattr(report, key))}")
-    return 0 if report.all_ok() else 1
+    return _print_flags(monotonic.check_cutpoints(s, cut).flags())
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
@@ -95,11 +98,9 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     print(" ".join(map(str, out)))
     if not args.verify:
         return 0
-    is_sorted = ghcsort.is_sorted(out)
-    is_perm = ghcsort.multiset_equal(out, s)
-    print(f"sorted {_bool(is_sorted)}")
-    print(f"permutation {_bool(is_perm)}")
-    return 0 if is_sorted and is_perm else 1
+    return _print_flags(
+        [("sorted", ghcsort.is_sorted(out)), ("permutation", ghcsort.multiset_equal(out, s))]
+    )
 
 
 def _cmd_ansv(args: argparse.Namespace) -> int:
@@ -112,11 +113,8 @@ def _cmd_ansv(args: argparse.Namespace) -> int:
 def _cmd_cartesian(args: argparse.Namespace) -> int:
     s = _load_sequence(args.file)
     tree = cartesian.build_tree(s)
-    report = cartesian.check_tree(s, tree)
     print(_one_based(tree.parent))
-    for key in ("binary_ok", "heap_ok", "traversal_ok"):
-        print(f"{key} {_bool(getattr(report, key))}")
-    return 0 if report.all_ok() else 1
+    return _print_flags(cartesian.check_tree(s, tree).flags())
 
 
 def _cmd_spmv(args: argparse.Namespace) -> int:

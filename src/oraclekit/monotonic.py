@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import BoundsError
-from .instrument import Tally
+from .instrument import FlagReport, Tally
 
 __all__ = [
     "CutReport",
@@ -111,11 +111,11 @@ def oracle_cutpoints(s: Sequence[int]) -> list[int]:
 
 
 @dataclass(frozen=True)
-class CutReport:
+class CutReport(FlagReport):
     """Outcome of checking a cutpoint list against a sequence.
 
-    One flag per property; ``first_violation`` names the first failing
-    property (in field order) and the cut/segment index where it was
+    One bool flag per property; ``first_violation`` names the first
+    failing flag (in field order) and the cut/segment index where it was
     detected, or None when everything holds.
     """
 
@@ -125,15 +125,6 @@ class CutReport:
     monotonic: bool
     right_maximal: bool
     first_violation: Optional[tuple[str, int]] = None
-
-    def all_ok(self) -> bool:
-        return (
-            self.non_empty
-            and self.begin_to_end
-            and self.within_bounds
-            and self.monotonic
-            and self.right_maximal
-        )
 
 
 def check_cutpoints(s: Sequence[int], cut: Sequence[int]) -> CutReport:

@@ -4,7 +4,9 @@ Every claim the package makes about its algorithms lives here under a
 stable dotted name, so test reports, the CLI, and regression pins all
 refer to the same identifiers. A check takes a generated input (or
 None for fixed properties that carry their own inputs) and returns
-None on success or a failure message.
+None on success or a failure message. A flag property checks one flag
+of a checker report; a report's flags are its bool fields, in field order
+(``instrument.FlagReport``), which ``cutpoints`` and ``cartesian`` print.
 
 Checks call into the algorithm modules through their module objects,
 so replacing e.g. ``ghcsort.merge`` with a broken variant is enough to
@@ -36,15 +38,23 @@ class Property:
     summary: str
 
 
-def _cutpoints_flag(flag: str) -> Callable:
+def _flag(run: Callable, flag: str) -> Callable:
+    """Check one flag of the report that ``run(s)`` returns together with a
+    thunk describing the answer; the message is built only on failure."""
+
     def check(s):
-        cut = monotonic.compute_cutpoints(s)
-        report = monotonic.check_cutpoints(s, cut)
+        report, answer = run(s)
         if getattr(report, flag):
             return None
-        return f"{flag} violated by cut {cut}; first violation {report.first_violation}"
+        return f"{flag} violated by {answer()}"
 
     return check
+
+
+def _cutpoints(s):
+    cut = monotonic.compute_cutpoints(s)
+    report = monotonic.check_cutpoints(s, cut)
+    return report, lambda: f"cut {cut}; first violation {report.first_violation}"
 
 
 def _cutpoints_oracle_eq(s):
@@ -80,15 +90,9 @@ def _sort_permutation(s):
     return f"ghc_sort output is not a permutation of the input: {out}"
 
 
-def _ansv_flag(flag: str) -> Callable:
-    def check(s):
-        arr = ansv.left_neighbors(s)
-        report = ansv.check_ansv(s, arr)
-        if getattr(report, flag):
-            return None
-        return f"{flag} violated by left neighbors {arr.neighbors}"
-
-    return check
+def _left_neighbors(s):
+    arr = ansv.left_neighbors(s)
+    return ansv.check_ansv(s, arr), lambda: f"left neighbors {arr.neighbors}"
 
 
 def _ansv_oracle_eq(s):
@@ -99,16 +103,12 @@ def _ansv_oracle_eq(s):
     return None
 
 
-def _tree_flag(flag: str) -> Callable:
-    def check(s):
-        t = list(dict.fromkeys(s))  # first occurrences, in order
-        tree = cartesian.build_tree(t)
-        report = cartesian.check_tree(t, tree)
-        if getattr(report, flag):
-            return None
-        return f"{flag} violated by parent array {tree.parent} (input deduped to {t})"
-
-    return check
+def _tree(s):
+    t = list(dict.fromkeys(s))  # first occurrences, in order
+    tree = cartesian.build_tree(t)
+    return cartesian.check_tree(t, tree), lambda: (
+        f"parent array {tree.parent} (input deduped to {t})"
+    )
 
 
 def _tree_oracle_eq(s):
@@ -209,31 +209,31 @@ _ALL = (
     Property(
         "c1a.nonempty",
         "sequence",
-        _cutpoints_flag("non_empty"),
+        _flag(_cutpoints, "non_empty"),
         "cutpoint list is never empty",
     ),
     Property(
         "c1a.begin_end",
         "sequence",
-        _cutpoints_flag("begin_to_end"),
+        _flag(_cutpoints, "begin_to_end"),
         "cutpoints start at 0 and end at len(s)",
     ),
     Property(
         "c1a.bounds",
         "sequence",
-        _cutpoints_flag("within_bounds"),
+        _flag(_cutpoints, "within_bounds"),
         "cutpoints are strictly increasing within [0, len(s)]",
     ),
     Property(
         "c1a.monotonic",
         "sequence",
-        _cutpoints_flag("monotonic"),
+        _flag(_cutpoints, "monotonic"),
         "every delimited segment is monotonic",
     ),
     Property(
         "c1a.maximal",
         "sequence",
-        _cutpoints_flag("right_maximal"),
+        _flag(_cutpoints, "right_maximal"),
         "no segment can be extended one element to the right",
     ),
     Property(
@@ -263,19 +263,19 @@ _ALL = (
     Property(
         "c2a.index",
         "sequence",
-        _ansv_flag("index_ok"),
+        _flag(_left_neighbors, "index_ok"),
         "left neighbor indices lie strictly left of their element",
     ),
     Property(
         "c2a.value",
         "sequence",
-        _ansv_flag("value_ok"),
+        _flag(_left_neighbors, "value_ok"),
         "neighbor values are strictly smaller",
     ),
     Property(
         "c2a.smallest",
         "sequence",
-        _ansv_flag("smallest_ok"),
+        _flag(_left_neighbors, "smallest_ok"),
         "nothing between neighbor and element is smaller",
     ),
     Property(
@@ -287,19 +287,19 @@ _ALL = (
     Property(
         "c2b.binary",
         "sequence",
-        _tree_flag("binary_ok"),
+        _flag(_tree, "binary_ok"),
         "parent and child links form one consistent binary tree",
     ),
     Property(
         "c2b.heap",
         "sequence",
-        _tree_flag("heap_ok"),
+        _flag(_tree, "heap_ok"),
         "every non-root value exceeds its parent's value",
     ),
     Property(
         "c2b.traversal",
         "sequence",
-        _tree_flag("traversal_ok"),
+        _flag(_tree, "traversal_ok"),
         "in-order traversal recovers positions 0..n-1",
     ),
     Property(

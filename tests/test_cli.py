@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import oraclekit
-from oraclekit import cli, ghcsort, parallel, spmv
+from oraclekit import cartesian, cli, ghcsort, monotonic, parallel, spmv
 from oraclekit.cli import run_cli
 from oraclekit.spmv import INT64_MAX, INT64_MIN
 
@@ -96,6 +96,34 @@ def test_cartesian_output(seq_file, capsys):
         "heap_ok true\n"
         "traversal_ok true\n"
     )
+
+
+def test_failed_checks_print_false_and_exit_1(seq_file, capsys, monkeypatch):
+    monkeypatch.setattr(monotonic, "compute_cutpoints", lambda s: [0, len(s)])
+    assert run(capsys, "cutpoints", seq_file) == (
+        1,
+        "0 9\n"
+        "non_empty true\n"
+        "begin_to_end true\n"
+        "within_bounds true\n"
+        "monotonic false\n"
+        "right_maximal false\n",
+        "",
+    )
+    chain = cartesian.build_tree(sorted(map(int, PINNED_SEQ.split())))
+    monkeypatch.setattr(cartesian, "build_tree", lambda s: chain)
+    assert run(capsys, "cartesian", seq_file) == (
+        1,
+        "0 1 2 3 4 5 6 7 8\nbinary_ok true\nheap_ok false\ntraversal_ok true\n",
+        "",
+    )
+    monkeypatch.setattr(ghcsort, "ghc_sort", list)
+    assert run(capsys, "sort", seq_file, "--verify") == (
+        1,
+        "4 7 8 1 2 3 9 5 6\nsorted false\npermutation true\n",
+        "",
+    )
+    assert run(capsys, "sort", seq_file) == (0, "4 7 8 1 2 3 9 5 6\n", "")
 
 
 def test_spmv_policies_agree(ones_file, coo_file, capsys):
