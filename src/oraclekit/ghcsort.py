@@ -53,24 +53,33 @@ def is_sorted(seq: Sequence[int]) -> bool:
 def merge(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Merge two sorted sequences into one sorted sequence.
 
-    On equal heads the element of ``b`` is taken first. Inputs are
-    validated (UnsortedInputError) and never mutated.
+    On equal heads the element of ``b`` is taken first. Any ``Sequence``
+    is accepted and never mutated. Each input is checked on every call
+    (UnsortedInputError) by comparing it with its builtin-sorted copy:
+    on sorted input that sort is one linear run-detection pass.
     """
     for seq, which in ((a, "first"), (b, "second")):
-        if not is_sorted(seq):
+        if list(seq) != sorted(seq):
             raise UnsortedInputError(f"{which} input to merge is not sorted")
     merged: list[int] = []
-    x, y = 0, 0
-    la, lb = len(a), len(b)
-    while x < la and y < lb:
-        if a[x] < b[y]:
-            merged.append(a[x])
-            x += 1
-        else:
-            merged.append(b[y])
-            y += 1
-    merged.extend(a[x:la])
-    merged.extend(b[y:lb])
+    take = merged.append
+    ia, ib = iter(a), iter(b)
+    # Each head y of b is preceded by the heads of a strictly below it.
+    for x in ia:
+        for y in ib:
+            while x < y:
+                take(x)
+                for x in ia:
+                    break
+                else:  # a ran out: y and the rest of b follow
+                    take(y)
+                    merged.extend(ib)
+                    return merged
+            take(y)
+        take(x)  # b ran out: x and the rest of a follow
+        break
+    merged.extend(ia)
+    merged.extend(ib)
     return merged
 
 

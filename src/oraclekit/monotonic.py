@@ -155,12 +155,14 @@ def check_cutpoints(s: Sequence[int], cut: Sequence[int]) -> CutReport:
     for k in range(m - 1):
         lo, hi = cut[k], cut[k + 1]
         # s[lo:hi] is monotonic iff up[lo:hi-1] is all true or all false.
-        if not 0 <= lo <= hi <= n or hi - lo > 2 and len(set(up[lo : hi - 1])) > 1:
+        d = hi - lo
+        if (not 0 <= lo <= hi <= n or d == 3 and up[lo] != up[lo + 1]
+                or d > 3 and len(set(up[lo : hi - 1])) > 1):
             broken_at = k
             break
         # s[lo:hi+1] is monotonic too unless s[lo:hi] has a direction (two
         # or more elements) that the next pair, up[hi-1], breaks.
-        extends = hi < n and (hi - lo < 2 or up[hi - 1] == up[hi - 2])
+        extends = hi < n and (d < 2 or up[hi - 1] == up[hi - 2])
         if extends and extendable_at is None:
             extendable_at = k
     monotonic = broken_at is None
