@@ -240,10 +240,11 @@ def run_suite(
 ) -> list[PropertyResult]:
     """Run named properties case-major, one generated stream per kind.
 
-    Each case is generated once and fed to every still-active property
-    of its kind; a property stops at its first failure, which is then
-    shrunk. Fixed properties (exhaustive sweeps, pinned witnesses) get
-    one ``None`` case and no shrinker. Results follow ``names``.
+    Each case is generated once and fed, as one object, to every
+    still-active property of its kind, so its shared answer is computed
+    once; a property stops at its first failure, which is then shrunk.
+    Fixed properties (exhaustive sweeps, pinned witnesses) get one
+    ``None`` case and no shrinker. Results follow ``names``.
     """
     from .properties import REGISTRY
 

@@ -11,7 +11,10 @@ of a checker report; a report's flags are its bool fields, in field order
 Checks call into the algorithm modules through their module objects,
 so replacing e.g. ``ghcsort.merge`` with a broken variant is enough to
 make the corresponding properties fail; that is what the mutation
-smoke tests rely on.
+smoke tests rely on. Properties are pure functions of the case object:
+each shared runner remembers its result for the last case object, by
+identity, so the properties of a family compute and check one case's
+answer once.
 """
 
 from __future__ import annotations
@@ -38,27 +41,44 @@ class Property:
     summary: str
 
 
+def _per_case(run: Callable) -> Callable:
+    """Remember ``run``'s result for the last case object, by identity; the
+    pair is replaced whole, so a concurrent caller at worst recomputes."""
+    last = (object(), None)  # holding the case keeps its id from being reused
+
+    def memo(s):
+        nonlocal last
+        case, result = last
+        if case is not s:
+            result = run(s)
+            last = (s, result)
+        return result
+
+    return memo
+
+
 def _flag(run: Callable, flag: str) -> Callable:
     """Check one flag of the report that ``run(s)`` returns together with a
     thunk describing the answer; the message is built only on failure."""
 
     def check(s):
-        report, answer = run(s)
+        report, describe, _answer = run(s)
         if getattr(report, flag):
             return None
-        return f"{flag} violated by {answer()}"
+        return f"{flag} violated by {describe()}"
 
     return check
 
 
+@_per_case
 def _cutpoints(s):
     cut = monotonic.compute_cutpoints(s)
     report = monotonic.check_cutpoints(s, cut)
-    return report, lambda: f"cut {cut}; first violation {report.first_violation}"
+    return report, lambda: f"cut {cut}; first violation {report.first_violation}", cut
 
 
 def _cutpoints_oracle_eq(s):
-    got = monotonic.compute_cutpoints(s)
+    got = _cutpoints(s)[2]
     want = monotonic.oracle_cutpoints(s)
     if got == want:
         return None
@@ -76,44 +96,48 @@ def _merge_sorted(s):
     return None
 
 
+_sorted_output = _per_case(lambda s: ghcsort.ghc_sort(s))
+
+
 def _sort_sorted(s):
-    out = ghcsort.ghc_sort(s)
+    out = _sorted_output(s)
     if ghcsort.is_sorted(out):
         return None
     return f"ghc_sort output is not nondecreasing: {out}"
 
 
 def _sort_permutation(s):
-    out = ghcsort.ghc_sort(s)
+    out = _sorted_output(s)
     if ghcsort.multiset_equal(out, s):
         return None
     return f"ghc_sort output is not a permutation of the input: {out}"
 
 
+@_per_case
 def _left_neighbors(s):
     arr = ansv.left_neighbors(s)
-    return ansv.check_ansv(s, arr), lambda: f"left neighbors {arr.neighbors}"
+    return ansv.check_ansv(s, arr), lambda: f"left neighbors {arr.neighbors}", arr
 
 
 def _ansv_oracle_eq(s):
-    for side, scan in (("left", ansv.left_neighbors), ("right", ansv.right_neighbors)):
-        got, want = scan(s).neighbors, ansv.oracle_neighbors(s, side).neighbors
+    for side in ("left", "right"):
+        arr = _left_neighbors(s)[2] if side == "left" else ansv.right_neighbors(s)
+        got, want = arr.neighbors, ansv.oracle_neighbors(s, side).neighbors
         if got != want:
             return f"{side} neighbors {got} != oracle {want}"
     return None
 
 
+@_per_case
 def _tree(s):
     t = list(dict.fromkeys(s))  # first occurrences, in order
     tree = cartesian.build_tree(t)
-    return cartesian.check_tree(t, tree), lambda: (
-        f"parent array {tree.parent} (input deduped to {t})"
-    )
+    report = cartesian.check_tree(t, tree)
+    return report, lambda: f"parent array {tree.parent} (input deduped to {t})", (t, tree)
 
 
 def _tree_oracle_eq(s):
-    t = list(dict.fromkeys(s))
-    got = cartesian.build_tree(t)
+    t, got = _tree(s)[2]
     want = cartesian.oracle_tree(t)
     if got == want:
         return None
