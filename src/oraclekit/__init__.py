@@ -21,7 +21,7 @@ from .errors import (
     UnsortedInputError,
     ZeroEntryError,
 )
-from .ghcsort import ghc_sort, merge, merge_round, multiset_equal, split_and_normalize
+from .ghcsort import ghc_sort, merge, multiset_equal
 from .instrument import Tally
 from .monotonic import CutReport, check_cutpoints, compute_cutpoints, is_monotonic, oracle_cutpoints
 from .parallel import (

@@ -1,65 +1,43 @@
 """Bottom-up mergesort over maximal monotonic runs.
 
-The input is split at its monotonic cutpoints, nonincreasing segments
-are reversed so every segment is sorted ascending, and segments are
-then merged pairwise round by round until one remains. Ties in the
-merge take the element from the second input; no stability guarantee
-is made beyond that.
+The input is cut at its monotonic cutpoints, nonincreasing segments
+are reversed so every segment is sorted ascending, and each segment is
+merged in as soon as it is cut, the way a binary counter carries. For k
+segments this builds the tree that pairwise merging of adjacent runs
+(an odd last run carried up) would build: depth ceil(log2(k)), the same
+k-1 merges of the same pairs, and at most floor(log2(k))+1 runs alive
+at once. Ties in the merge take the element from the second input; no
+stability guarantee is made beyond that.
 """
 
 from __future__ import annotations
 
-import operator
-from itertools import islice
 from typing import Sequence
 
 from .errors import UnsortedInputError
 from .monotonic import compute_cutpoints
 
-__all__ = [
-    "ghc_sort",
-    "is_sorted",
-    "merge",
-    "merge_round",
-    "multiset_equal",
-    "split_and_normalize",
-]
-
-
-def split_and_normalize(s: Sequence[int]) -> list[list[int]]:
-    """Split ``s`` into maximal monotonic segments, each sorted ascending.
-
-    Segments whose elements were nonincreasing are reversed; strictly
-    increasing ones are copied as-is. The concatenation of the result
-    is a permutation of ``s``. Empty input gives no segments.
-    """
-    cut = compute_cutpoints(s)
-    segments = []
-    for lo, hi in zip(cut, cut[1:]):
-        seg = list(s[lo:hi])
-        # Direction is committed by the first pair: not strictly
-        # increasing means the whole segment is nonincreasing.
-        if len(seg) >= 2 and seg[0] >= seg[1]:
-            seg.reverse()
-        segments.append(seg)
-    return segments
+__all__ = ["ghc_sort", "is_sorted", "merge", "multiset_equal"]
 
 
 def is_sorted(seq: Sequence[int]) -> bool:
-    """True when ``seq`` is nondecreasing (vacuously when shorter than 2)."""
-    return all(map(operator.le, seq, islice(seq, 1, None)))
+    """True when ``seq`` is nondecreasing (vacuously when shorter than 2).
+
+    Compares ``seq`` with its builtin-sorted copy: on sorted input that
+    sort is one linear run-detection pass.
+    """
+    return list(seq) == sorted(seq)
 
 
 def merge(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Merge two sorted sequences into one sorted sequence.
 
     On equal heads the element of ``b`` is taken first. Any ``Sequence``
-    is accepted and never mutated. Each input is checked on every call
-    (UnsortedInputError) by comparing it with its builtin-sorted copy:
-    on sorted input that sort is one linear run-detection pass.
+    is accepted and never mutated. Each input is checked with
+    ``is_sorted`` on every call (UnsortedInputError).
     """
     for seq, which in ((a, "first"), (b, "second")):
-        if list(seq) != sorted(seq):
+        if not is_sorted(seq):
             raise UnsortedInputError(f"{which} input to merge is not sorted")
     merged: list[int] = []
     take = merged.append
@@ -83,32 +61,30 @@ def merge(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return merged
 
 
-def merge_round(segments: list[list[int]]) -> list[list[int]]:
-    """Merge adjacent segment pairs left to right.
-
-    ``[a, b, c, d, e]`` becomes ``[merge(a, b), merge(c, d), e]``; an
-    odd trailing segment is carried over unchanged.
-    """
-    out = []
-    for i in range(0, len(segments) - 1, 2):
-        out.append(merge(segments[i], segments[i + 1]))
-    if len(segments) % 2:
-        out.append(segments[-1])
-    return out
-
-
 def ghc_sort(s: Sequence[int]) -> list[int]:
     """Sort ``s`` by merging its normalized monotonic segments.
 
-    Returns a new list; the input is never mutated. Reaching a single
-    segment takes exactly ceil(log2(k)) rounds for k initial segments.
+    Returns a new list; the input is never mutated. The merge tree over
+    k segments has depth ceil(log2(k)) and pairs the same runs as
+    merging adjacent pairs level by level, with k-1 calls of ``merge``.
     """
-    segments = split_and_normalize(s)
-    if not segments:
-        return []
-    while len(segments) > 1:
-        segments = merge_round(segments)
-    return segments[0]
+    cut = compute_cutpoints(s)
+    runs: list[list[int]] = []  # merged blocks of 2**i segments, largest first
+    for k, (lo, hi) in enumerate(zip(cut, cut[1:]), 1):
+        run = list(s[lo:hi])
+        # Direction is committed by the first pair: not strictly
+        # increasing means the whole segment is nonincreasing.
+        if len(run) >= 2 and run[0] >= run[1]:
+            run.reverse()
+        # Segment k completes one block per trailing zero bit of k.
+        while not k & 1:
+            run = merge(runs.pop(), run)
+            k >>= 1
+        runs.append(run)
+    run = runs.pop() if runs else []
+    while runs:
+        run = merge(runs.pop(), run)
+    return run
 
 
 def multiset_equal(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -6,13 +8,8 @@ from hypothesis import strategies as st
 
 from oraclekit import ghcsort
 from oraclekit.errors import UnsortedInputError
-from oraclekit.ghcsort import (
-    ghc_sort,
-    merge,
-    merge_round,
-    multiset_equal,
-    split_and_normalize,
-)
+from oraclekit.ghcsort import ghc_sort, is_sorted, merge, multiset_equal
+from oraclekit.monotonic import compute_cutpoints
 
 
 def insertion_sorted(s):
@@ -28,19 +25,88 @@ def insertion_sorted(s):
     return out
 
 
-def test_pinned_example_full_pipeline():
-    s = [3, 2, 8, 9, 3, 4, 5]
-    segments = split_and_normalize(s)
-    assert segments == [[2, 3], [8, 9], [3, 4, 5]]
-    assert merge_round(segments) == [[2, 3, 8, 9], [3, 4, 5]]
-    assert ghc_sort(s) == [2, 3, 3, 4, 5, 8, 9]
+def record_merges(monkeypatch):
+    """Wrap ``ghcsort.merge`` so that each call appends its ``(a, b)``
+    arguments to the returned list."""
+    calls = []
+
+    def recording_merge(a, b, inner=ghcsort.merge):
+        calls.append((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(ghcsort, "merge", recording_merge)
+    return calls
 
 
-def test_split_normalizes_each_run_ascending():
-    assert split_and_normalize([5, 4, 4, 1]) == [[1, 4, 4, 5]]
-    assert split_and_normalize([1, 1]) == [[1, 1]]  # nonincreasing run, reversed
-    assert split_and_normalize([]) == []
-    assert split_and_normalize([7]) == [[7]]
+def rounds_reference(s):
+    """The round-based schedule ``ghc_sort`` replaced: cut all segments
+    first, then merge adjacent pairs round by round, an odd last segment
+    carried over, calling ``ghcsort.merge`` through the module."""
+    cut = compute_cutpoints(s)
+    segments = []
+    for lo, hi in zip(cut, cut[1:]):
+        seg = list(s[lo:hi])
+        if len(seg) >= 2 and seg[0] >= seg[1]:
+            seg.reverse()
+        segments.append(seg)
+    if not segments:
+        return []
+    while len(segments) > 1:
+        merged = [ghcsort.merge(segments[i], segments[i + 1]) for i in range(0, len(segments) - 1, 2)]
+        if len(segments) % 2:
+            merged.append(segments[-1])
+        segments = merged
+    return segments[0]
+
+
+def test_pinned_example_full_pipeline(monkeypatch):
+    calls = record_merges(monkeypatch)
+    assert ghc_sort([3, 2, 8, 9, 3, 4, 5]) == [2, 3, 3, 4, 5, 8, 9]
+    assert calls == [([2, 3], [8, 9]), ([2, 3, 8, 9], [3, 4, 5])]
+
+
+def test_ghc_sort_normalizes_single_runs_without_merging(monkeypatch):
+    calls = record_merges(monkeypatch)
+    assert ghc_sort([5, 4, 4, 1]) == [1, 4, 4, 5]
+    assert ghc_sort([1, 1]) == [1, 1]  # nonincreasing run, reversed
+    x, y = 10**20, int("1" + "0" * 20)  # equal values, distinct objects
+    out = ghc_sort([x, y])
+    assert out[0] is y and out[1] is x
+    assert ghc_sort([]) == []
+    assert ghc_sort([7]) == [7]
+    assert calls == []
+
+
+def test_ghc_sort_merges_the_pairs_of_the_round_schedule(monkeypatch):
+    """Same merge pairs by element identity, k-1 calls, and an output
+    identical by identity to the round-based reference."""
+    calls = record_merges(monkeypatch)
+    rng = random.Random(16)
+    big = 10**20  # big + v is a fresh object: equal values stay distinguishable
+    seen_k = set()
+    for n in range(260):
+        for hi in (2, 9, 1000):
+            s = [big + rng.randint(0, hi) for _ in range(n)]
+            k = len(compute_cutpoints(s)) - 1
+            seen_k.add(k)
+            calls.clear()
+            want = rounds_reference(s)
+            want_pairs = Counter((tuple(map(id, a)), tuple(map(id, b))) for a, b in calls)
+            calls.clear()
+            got = ghc_sort(s)
+            got_pairs = Counter((tuple(map(id, a)), tuple(map(id, b))) for a, b in calls)
+            assert len(calls) == max(k - 1, 0), (n, hi)
+            assert got_pairs == want_pairs, (n, hi)
+            assert list(map(id, got)) == list(map(id, want)), (n, hi)
+    assert set(range(34)) <= seen_k and max(seen_k) >= 100
+
+
+def test_is_sorted():
+    assert is_sorted([])
+    assert is_sorted([7])
+    assert is_sorted([1, 1])
+    assert not is_sorted([2, 1])
+    assert is_sorted((1, 2, 2)) and not is_sorted((1, 3, 2))
 
 
 def test_merge_keeps_ties_from_second():
@@ -108,25 +174,10 @@ def test_merge_does_not_mutate_inputs():
     "s", [[], [4], [1, 2, 3], [3, 2, 8, 9, 3, 4, 5], [6, 3, 4, 2, 5, 3, 7], list(range(50, 0, -3)) * 3]
 )
 def test_ghc_sort_calls_module_merge_k_minus_1_times(s, monkeypatch):
-    calls = []
-
-    def counting_merge(a, b, inner=ghcsort.merge):
-        calls.append(1)
-        return inner(a, b)
-
-    monkeypatch.setattr(ghcsort, "merge", counting_merge)
-    k = len(split_and_normalize(s))
+    calls = record_merges(monkeypatch)
+    k = len(compute_cutpoints(s)) - 1
     assert ghc_sort(s) == sorted(s)
     assert len(calls) == max(k - 1, 0)
-
-
-def test_merge_round_pairs_left_to_right():
-    segs = [[1], [2], [3], [4], [5]]
-    assert merge_round(segs) == [[1, 2], [3, 4], [5]]
-    # k segments shrink to ceil(k/2) per round
-    for k in range(1, 10):
-        segs = [[i] for i in range(k)]
-        assert len(merge_round(segs)) == (k + 1) // 2
 
 
 def test_sort_edge_shapes():
