@@ -4,7 +4,9 @@ A sparse matrix is three parallel arrays of row indices, column indices
 and nonzero values, strictly (row, column)-sorted: the COO format of
 Saad, *Iterative Methods for Sparse Linear Systems* (2nd ed., 2003,
 §3.4). Indices are 1-based at the construction and file boundary,
-0-based internally. Whole-array passes validate input; a per-triplet
+0-based internally. Canonical files (single spaces and newlines) parse
+through the stdlib JSON scanner, others token by token, with the same
+results and errors. Whole-array passes validate input; a per-triplet
 scan runs only to name the first invalid triplet. The product
 ``y[c] = sum over rows r of x[r] * m[r][c]`` touches only stored entries.
 
@@ -46,13 +48,25 @@ INT64_MAX = (1 << 63) - 1
 
 # The one token grammar of both file formats (sequence and COO matrix).
 DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
+# A canonical file's alphabet, in which JSON reads every token as an int.
+_CANONICAL_RE = re.compile(r"[0-9 \n-]*")
 
 
 def _decimals(text: str, what: str) -> list[int]:
-    """The whitespace-separated ``DECIMAL_RE`` tokens of ``text`` as ints,
-    converted in one C-level pass; ``_reject_first_bad`` runs if that fails."""
+    """The whitespace-separated ``DECIMAL_RE`` tokens of ``text`` as ints.
+    Canonical text (single spaces and newlines) goes through the stdlib JSON
+    scanner, with no string per token; JSON takes no "+", leading zero, "_"
+    or empty element. Any other text, or one the scanner refuses, takes the
+    per-token pass and ``_reject_first_bad``: same results, same errors."""
     if not text.isascii():
         raise OrderError(f"{what} text is not ASCII")
+    if _CANONICAL_RE.fullmatch(text):
+        import json  # not at module level: only parsing pays for the import
+        array = "[" + text.strip().replace("\n", ",").replace(" ", ",") + "]"
+        try:
+            return json.loads(array)
+        except ValueError:  # double spaces, inner blank lines, "007", "-", long tokens
+            pass
     tokens = text.split()
     try:
         if "_" not in text:  # int() alone would also read "1_0" as 10
@@ -253,8 +267,9 @@ def coo_from_text(text: str) -> CooMatrix:
     """Parse the COO file format: header ``R C NNZ``, then NNZ ``r c v`` lines.
 
     Tokens are ASCII signed decimals (``DECIMAL_RE``) separated by any
-    whitespace; the triplets must already be sorted. Raises kit errors
-    naming the violated rule.
+    whitespace, read by ``_decimals`` (a canonical file by the JSON scanner,
+    with the same results and errors as token by token); the triplets must
+    already be sorted. Raises kit errors naming the violated rule.
     """
     # Rule order: ASCII, then a three-token header, then each token.
     if text.isascii() and len(text.split(maxsplit=2)) < 3:
@@ -267,7 +282,9 @@ def coo_from_text(text: str) -> CooMatrix:
         raise OrderError(
             f"expected {3 * nnz} integers after the header, found {len(numbers) - 3}"
         )
-    return _coo(rows, cols, numbers[3::3], numbers[4::3], numbers[5::3])
+    rs, cs, vs = numbers[3::3], numbers[4::3], numbers[5::3]
+    del numbers  # the flat list need not outlive the three slices
+    return _coo(rows, cols, rs, cs, vs)
 
 
 def coo_to_text(m: CooMatrix) -> str:
