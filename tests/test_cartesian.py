@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oraclekit import cartesian
 from oraclekit.ansv import left_neighbors, right_neighbors
 from oraclekit.cartesian import (
     CartesianTree,
@@ -295,3 +296,74 @@ def test_check_matches_reference_on_every_small_parent_array():
                     t = CartesianTree(parent, left, right, root)
                     for s in sequences if (left, right) in own else sequences[:2]:
                         assert check_tree(s, t) == _reference_check_tree(s, t), (s, t)
+
+
+# --- the certifying walk: when it answers and when the per-flag check does ---
+
+
+class FellBack(Exception):
+    """Raised by a stand-in for ``in_order``: only the fallback calls it."""
+
+
+def _no_fallback(t):
+    raise FellBack
+
+
+def test_valid_trees_certify_without_in_order(monkeypatch):
+    monkeypatch.setattr(cartesian, "in_order", _no_fallback)
+    n = 10**5
+    perm = list(range(n))
+    random.Random(3).shuffle(perm)
+    rng = random.Random(4)
+    small = [rng.sample(range(1000), rng.randint(0, 60)) for _ in range(200)]
+    # increasing and decreasing inputs give right and left chains of n nodes
+    for s in [[], [7], PINNED_SEQ, list(range(n)), list(range(n, 0, -1)), perm, *small]:
+        assert check_tree(s, build_tree(s)) == TreeReport(True, True, True), s[:10]
+
+
+S3 = [2, 1, 3]
+R3 = [1, 2, 3]  # right chain 0 -> 1 -> 2
+NO = (None, None, None)
+
+
+def s3_tree(parent=(1, None, 1), left=(None, 0, None), right=(None, 2, None), root=1):
+    """S3's tree (root 1, left child 0, right child 2), with fields replaced."""
+    return CartesianTree(parent, left, right, root)
+
+
+# (name, sequence, tree, the per-flag check's binary_ok, heap_ok, traversal_ok)
+MALFORMED = [
+    ("cycle", S3, s3_tree(left=(0, 0, None)), (0, 1, 0)),
+    ("root out of range", S3, s3_tree(root=5), (0, 1, 0)),
+    ("root has a parent", S3, s3_tree(root=0), (0, 1, 0)),
+    ("root missing", S3, s3_tree(root=None), (0, 1, 0)),
+    ("second parentless node", S3, s3_tree(parent=(1, None, None)), (0, 1, 1)),
+    ("parent link disagrees", S3, s3_tree(parent=(1, None, 0)), (0, 1, 1)),
+    ("children on the wrong sides", S3, s3_tree(left=(None, 2, None), right=(None, 0, None)), (0, 1, 0)),
+    ("heap inversion", S3, CartesianTree((None, 0, 1), NO, (1, 2, None), 0), (1, 0, 1)),
+    ("node unreached", R3, CartesianTree((None, 0, 1), NO, (1, None, None), 0), (0, 1, 0)),
+    ("child given as True", R3, CartesianTree((None, 0, 1), NO, (True, 2, None), 0), (1, 1, 1)),
+    ("parent given as True", R3, CartesianTree((None, 0, True), NO, (1, 2, None), 0), (1, 1, 1)),
+    ("root given as True", S3, s3_tree(root=True), (1, 1, 1)),
+    ("short child arrays", [1, 2], CartesianTree((None, 1), (), (), 0), (0, 0, 0)),
+    ("sequence longer than tree", [1, 2, 3, 4], build_tree(R3), (0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("name, s, t, report", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_trees_fall_back_to_the_per_flag_report(monkeypatch, name, s, t, report):
+    assert check_tree(s, t) == TreeReport(*map(bool, report)) == _reference_check_tree(s, t)
+    monkeypatch.setattr(cartesian, "in_order", _no_fallback)
+    with pytest.raises(FellBack):
+        check_tree(s, t)
+
+
+@pytest.mark.parametrize("field", ["parent", "left", "right", "root"])
+def test_float_indices_fall_back(monkeypatch, field):
+    # A float index cannot index a tuple; the fallback meets it as before.
+    floats = {"parent": (1.0, None, 1.0), "left": (None, 0.0, None), "right": (None, 2.0, None)}
+    bad = s3_tree(root=1.0) if field == "root" else s3_tree(**{field: floats[field]})
+    assert check_tree(S3, s3_tree()).all_ok()
+    monkeypatch.setattr(cartesian, "in_order", _no_fallback)
+    with pytest.raises(FellBack):
+        check_tree(S3, bad)
