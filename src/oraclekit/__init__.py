@@ -21,7 +21,7 @@ from .errors import (
     UnsortedInputError,
     ZeroEntryError,
 )
-from .ghcsort import ghc_sort, merge, multiset_equal
+from .ghcsort import ghc_sort, merge, multiset_equal, oracle_merge
 from .instrument import Tally
 from .monotonic import CutReport, check_cutpoints, compute_cutpoints, is_monotonic, oracle_cutpoints
 from .parallel import (

@@ -84,12 +84,18 @@ def build_tree(s: Sequence[int], tally: Optional[Tally] = None) -> CartesianTree
     return CartesianTree(tuple(parent), tuple(left_child), tuple(right_child), root)
 
 
+def _index(x: object, n: int) -> bool:
+    """True when ``x`` is an ``int`` (``bool`` included) in range(n)."""
+    return isinstance(x, int) and 0 <= x < n
+
+
 def in_order(t: CartesianTree) -> list[int]:
     """Symmetric traversal emitting node indices.
 
     Iterative so degenerate chains cannot overflow the call stack.
     Raises MalformedTreeError on arrays of unequal length, cycles,
-    out-of-range links, or unreachable nodes (found by visit counting).
+    non-integer or out-of-range links, or unreachable nodes (found by
+    visit counting).
     """
     n = len(t.parent)
     if len(t.left_child) != n or len(t.right_child) != n:
@@ -99,7 +105,7 @@ def in_order(t: CartesianTree) -> list[int]:
             raise MalformedTreeError("empty tree cannot have a root")
         return []
     root = t.root
-    if root is None or not 0 <= root < n:
+    if not _index(root, n):
         raise MalformedTreeError("missing or out-of-range root")
     order: list[int] = []
     stack: list[int] = []
@@ -110,7 +116,7 @@ def in_order(t: CartesianTree) -> list[int]:
             if len(stack) > n:
                 raise MalformedTreeError("cycle through left children")
             nxt = t.left_child[node]
-            if nxt is not None and not 0 <= nxt < n:
+            if nxt is not None and not _index(nxt, n):
                 raise MalformedTreeError(f"left child of {node} out of range")
             node = nxt
         node = stack.pop()
@@ -118,7 +124,7 @@ def in_order(t: CartesianTree) -> list[int]:
         if len(order) > n:
             raise MalformedTreeError("cycle: more visits than nodes")
         nxt = t.right_child[node]
-        if nxt is not None and not 0 <= nxt < n:
+        if nxt is not None and not _index(nxt, n):
             raise MalformedTreeError(f"right child of {node} out of range")
         node = nxt
     if len(order) != n or len(set(order)) != n:
@@ -172,8 +178,8 @@ def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:
 
     binary_ok: well-formed binary tree with one node per index;
     heap_ok: every non-root value exceeds its parent's value;
-    traversal_ok: in-order traversal is 0, 1, ..., n-1. Malformed trees
-    fail flags instead of raising.
+    traversal_ok: in-order traversal is 0, 1, ..., n-1. Malformed trees,
+    non-integer indices included, fail flags instead of raising.
 
     Fast path, a certifying check (McConnell, Mehlhorn, Naher and
     Schweitzer, 2011): an in-order walk from a parentless root that pops
@@ -208,7 +214,7 @@ def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:
         and all(
             x == t.root
             if p is None
-            else 0 <= p < n and (left if x < p else right)[p] == x
+            else _index(p, n) and (left if x < p else right)[p] == x
             for x, p in enumerate(t.parent)
         )
     )
@@ -219,7 +225,7 @@ def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:
             p = t.parent[x]
             if p is None:
                 continue
-            if not 0 <= p < n or not s[x] > s[p]:
+            if not _index(p, n) or not s[x] > s[p]:
                 heap_ok = False
                 break
 

@@ -6,8 +6,9 @@ merged in as soon as it is cut, the way a binary counter carries. For k
 segments this builds the tree that pairwise merging of adjacent runs
 (an odd last run carried up) would build: depth ceil(log2(k)), the same
 k-1 merges of the same pairs, and at most floor(log2(k))+1 runs alive
-at once. Ties in the merge take the element from the second input; no
-stability guarantee is made beyond that.
+at once. Merge ties take the second input's element first and
+nonincreasing segments are reversed, so equal values come out in
+reverse input order: ``ghc_sort(s)`` is ``sorted(reversed(s))``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 from .errors import UnsortedInputError
 from .monotonic import compute_cutpoints
 
-__all__ = ["ghc_sort", "is_sorted", "merge", "multiset_equal"]
+__all__ = ["ghc_sort", "is_sorted", "merge", "multiset_equal", "oracle_merge"]
 
 
 def is_sorted(seq: Sequence[int]) -> bool:
@@ -32,13 +33,25 @@ def is_sorted(seq: Sequence[int]) -> bool:
 def merge(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Merge two sorted sequences into one sorted sequence.
 
-    On equal heads the element of ``b`` is taken first. Any ``Sequence``
-    is accepted and never mutated. Each input is checked with
-    ``is_sorted`` on every call (UnsortedInputError).
+    Any ``Sequence`` is accepted and never mutated. Each input is checked
+    with ``is_sorted`` on every call, the first first (UnsortedInputError).
+    The merge is the stable builtin sort of ``b + a``: timsort merges the
+    two runs in C, galloping, with a buffer of at most min(len(a), len(b))
+    pointers. Stability puts each element of ``b``, the later run in
+    ``ghc_sort``, before an equal one of ``a``, as ``oracle_merge`` does:
+    that keeps the tie rule in the module docstring.
     """
     for seq, which in ((a, "first"), (b, "second")):
         if not is_sorted(seq):
             raise UnsortedInputError(f"{which} input to merge is not sorted")
+    merged = [*b, *a]
+    merged.sort()
+    return merged
+
+
+def oracle_merge(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Reference ``merge`` by one two-iterator walk, independent of builtin
+    sort: ties take the element of ``b`` first. Inputs are not checked."""
     merged: list[int] = []
     take = merged.append
     ia, ib = iter(a), iter(b)

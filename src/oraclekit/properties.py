@@ -85,15 +85,27 @@ def _cutpoints_oracle_eq(s):
     return f"cutpoints {got} != greedy oracle {want}"
 
 
-def _merge_sorted(s):
+def _sorted_halves(s):
     half = len(s) // 2
-    a, b = sorted(s[:half]), sorted(s[half:])
+    return sorted(s[:half]), sorted(s[half:])
+
+
+def _merge_sorted(s):
+    a, b = _sorted_halves(s)
     merged = ghcsort.merge(a, b)
     if not ghcsort.is_sorted(merged):
         return f"merge({a}, {b}) is not sorted: {merged}"
     if not ghcsort.multiset_equal(merged, a + b):
         return f"merge({a}, {b}) lost or invented elements: {merged}"
     return None
+
+
+def _merge_oracle_eq(s):
+    a, b = _sorted_halves(s)
+    got, want = ghcsort.merge(a, b), ghcsort.oracle_merge(a, b)
+    if got == want:
+        return None
+    return f"merge({a}, {b}) = {got} != two-iterator oracle {want}"
 
 
 _sorted_output = _per_case(lambda s: ghcsort.ghc_sort(s))
@@ -271,6 +283,12 @@ _ALL = (
         "sequence",
         _merge_sorted,
         "merging two sorted halves is sorted and loses nothing",
+    ),
+    Property(
+        "c1b.merge_oracle_eq",
+        "sequence",
+        _merge_oracle_eq,
+        "merging two sorted halves equals the two-iterator oracle",
     ),
     Property(
         "c1b.sorted",

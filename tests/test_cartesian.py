@@ -367,3 +367,25 @@ def test_float_indices_fall_back(monkeypatch, field):
     monkeypatch.setattr(cartesian, "in_order", _no_fallback)
     with pytest.raises(FellBack):
         check_tree(S3, bad)
+
+
+# (name, S3's tree with one index replaced, binary_ok, heap_ok, traversal_ok):
+# a non-integer index is malformed, so each flag that reads it is false.
+NON_INTEGER = [
+    ("root 1.0", s3_tree(root=1.0), (0, 1, 0)),
+    ("root '1'", s3_tree(root="1"), (0, 1, 0)),
+    ("parent 1.0", s3_tree(parent=(1.0, None, 1.0)), (0, 0, 1)),
+    ("parent '1'", s3_tree(parent=(1, None, "1")), (0, 0, 1)),
+    ("left child 0.0", s3_tree(left=(None, 0.0, None)), (0, 1, 0)),
+    ("left child '0'", s3_tree(left=(None, "0", None)), (0, 1, 0)),
+    ("right child 2.0", s3_tree(right=(None, 2.0, None)), (0, 1, 0)),
+    ("right child '2'", s3_tree(right=(None, "2", None)), (0, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("name, t, report", NON_INTEGER, ids=[m[0] for m in NON_INTEGER])
+def test_non_integer_indices_fail_flags_without_raising(name, t, report):
+    assert check_tree(S3, t) == TreeReport(*map(bool, report))
+    if not report[2]:  # the traversal met the bad index
+        with pytest.raises(MalformedTreeError):
+            in_order(t)

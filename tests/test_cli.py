@@ -208,7 +208,7 @@ def test_check_unknown_property(capsys):
 def test_check_list(capsys):
     code, out, _ = run(capsys, "check", "--list")
     assert code == 0
-    assert len(out.splitlines()) == 21
+    assert len(out.splitlines()) == 22
     assert out.splitlines()[0].startswith("c1a.nonempty  ")
 
 

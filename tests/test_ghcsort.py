@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oraclekit import ghcsort
 from oraclekit.errors import UnsortedInputError
-from oraclekit.ghcsort import ghc_sort, is_sorted, merge, multiset_equal
+from oraclekit.ghcsort import ghc_sort, is_sorted, merge, multiset_equal, oracle_merge
 from oraclekit.monotonic import compute_cutpoints
 
 
@@ -150,14 +150,76 @@ def test_merge_matches_reference_on_all_small_sorted_pairs():
             assert list(map(id, got)) == list(map(id, want)), (va, vb, kind)
 
 
+def sorted_pairs(rng):
+    """Seeded sorted big-int lists ``(a, b)`` of length 0-300 with many
+    ties: interleaved, barely overlapping, and one wholly above the other.
+    Lengths cross timsort's 64-element insertion-sort cut-off, and the
+    barely overlapping runs are long enough for it to gallop."""
+    big = 10**20  # big + v is a fresh object: equal values stay distinguishable
+    lengths = (0, 1, 2, 7, 63, 64, 65, 128, 300)
+    for la, lb in product(lengths, repeat=2):
+        for hi in (0, 2, 9, la + lb):  # value ranges from all-equal to mostly distinct
+            yield (sorted(big + rng.randint(0, hi) for _ in range(la)),
+                   sorted(big + rng.randint(0, hi) for _ in range(lb)))
+        for lo_a, lo_b in ((0, 990), (990, 0), (0, 1000), (1000, 0)):  # touching or apart
+            yield (sorted(big + lo_a + rng.randint(0, 1000) for _ in range(la)),
+                   sorted(big + lo_b + rng.randint(0, 1000) for _ in range(lb)))
+    for _ in range(200):
+        yield tuple(sorted(big + rng.randint(0, 40) for _ in range(rng.randint(0, 300))) for _ in "ab")
+
+
+def test_merge_is_the_oracle_merge_by_identity():
+    for a, b in sorted_pairs(random.Random(19)):
+        want = oracle_merge(a, b)
+        assert list(map(id, want)) == list(map(id, reference_merge(a, b)))
+        ids_a, ids_b = list(map(id, a)), list(map(id, b))
+        for x, y in ((a, b), (tuple(a), tuple(b))):
+            got = merge(x, y)
+            assert type(got) is list and list(map(id, got)) == list(map(id, want)), (len(a), len(b))
+        assert list(map(id, a)) == ids_a and list(map(id, b)) == ids_b  # inputs untouched
+
+
+def test_merge_of_ranges_is_the_oracle_merge():
+    # Galloping across long ranges that barely overlap, and ranges mixed
+    # with lists; a range holds no ties, so values are compared.
+    for a, b in (
+        (range(300), range(290, 600)),
+        (range(290, 600), range(300)),
+        (range(0, 300, 3), range(1, 300, 3)),
+        (range(65), [64] * 70),
+        ([0] * 64, range(0, 0)),
+        (range(200), range(200)),
+    ):
+        got = merge(a, b)
+        assert got == oracle_merge(a, b) == sorted([*a, *b]), (a, b)
+
+
+def test_ghc_sort_is_sorted_of_reversed_input_by_identity():
+    """Ties come out in reverse input order: an oracle for the whole pipeline."""
+    rng = random.Random(19)
+    big = 10**20
+    for n in range(300):
+        for hi in (0, 1, 2, 5, 1000):
+            s = [big + rng.randint(0, hi) for _ in range(n)]
+            want = sorted(reversed(s))
+            assert list(map(id, ghc_sort(s))) == list(map(id, want)), (n, hi)
+
+
 def test_merge_rejects_unsorted_input():
+    long_sorted = list(range(300))
+    long_unsorted = long_sorted[:150] + [-1] + long_sorted[150:]
     for kind in (list, tuple):
-        with pytest.raises(UnsortedInputError, match="first"):
-            merge(kind([2, 1]), kind([3]))
-        with pytest.raises(UnsortedInputError, match="second"):
-            merge(kind([3]), kind([2, 1]))
-        with pytest.raises(UnsortedInputError, match="first"):
-            merge(kind([1, 0]), kind([5, 4]))  # both unsorted: the first is named
+        for a, b, which in (
+            ([2, 1], [3], "first"),
+            ([3], [2, 1], "second"),
+            ([1, 0], [5, 4], "first"),  # both unsorted: the first is named
+            (long_unsorted, long_sorted, "first"),
+            (long_sorted, long_unsorted, "second"),
+            (range(5, 0, -1), long_unsorted, "first"),
+        ):
+            with pytest.raises(UnsortedInputError) as err:
+                merge(kind(a), kind(b))
+            assert str(err.value) == f"{which} input to merge is not sorted"
 
 
 def test_merge_does_not_mutate_inputs():

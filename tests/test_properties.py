@@ -16,6 +16,7 @@ EXPECTED = (
     "c1a.maximal",
     "c1a.oracle_eq",
     "c1b.merge_sorted",
+    "c1b.merge_oracle_eq",
     "c1b.sorted",
     "c1b.permutation",
     "c2a.index",
@@ -162,6 +163,7 @@ _REF_CHECKS = {
     "c1a.maximal": _ref_flag(_ref_cutpoints, "right_maximal"),
     "c1a.oracle_eq": _ref_cutpoints_oracle_eq,
     "c1b.merge_sorted": REGISTRY["c1b.merge_sorted"].check,  # never shared
+    "c1b.merge_oracle_eq": REGISTRY["c1b.merge_oracle_eq"].check,  # never shared
     "c1b.sorted": _ref_sort_sorted,
     "c1b.permutation": _ref_sort_permutation,
     "c2a.index": _ref_flag(_ref_left_neighbors, "index_ok"),
@@ -266,6 +268,7 @@ def test_shared_runners_match_the_reference(monkeypatch, mutant, seed):
     "mutant, family, breaks",
     (
         ("merge_tie_drop", "c1b", "c1b.merge_sorted"),
+        ("merge_tie_drop", "c1b", "c1b.merge_oracle_eq"),
         ("pop_survivor", "c2a", "c2a.smallest"),
         ("split_after_two", "c1a", "c1a.maximal"),
         ("swap_root_children", "c2b", "c2b.binary"),
