@@ -9,6 +9,9 @@ k-1 merges of the same pairs, and at most floor(log2(k))+1 runs alive
 at once. Merge ties take the second input's element first and
 nonincreasing segments are reversed, so equal values come out in
 reverse input order: ``ghc_sort(s)`` is ``sorted(reversed(s))``.
+
+Checks sit at the boundary: ``merge`` checks both inputs, ``ghc_sort``
+each segment once as it is cut; both merge through the unchecked kernel.
 """
 
 from __future__ import annotations
@@ -34,16 +37,19 @@ def merge(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Merge two sorted sequences into one sorted sequence.
 
     Any ``Sequence`` is accepted and never mutated. Each input is checked
-    with ``is_sorted`` on every call, the first first (UnsortedInputError).
-    The merge is the stable builtin sort of ``b + a``: timsort merges the
-    two runs in C, galloping, with a buffer of at most min(len(a), len(b))
-    pointers. Stability puts each element of ``b``, the later run in
-    ``ghc_sort``, before an equal one of ``a``, as ``oracle_merge`` does:
-    that keeps the tie rule in the module docstring.
+    with ``is_sorted`` on every call, the first first (UnsortedInputError);
+    then the module's ``_merge_runs`` merges them.
     """
     for seq, which in ((a, "first"), (b, "second")):
         if not is_sorted(seq):
             raise UnsortedInputError(f"{which} input to merge is not sorted")
+    return _merge_runs(a, b)
+
+
+def _merge_runs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Unchecked merge of sorted runs: timsort merges ``b + a`` in C,
+    galloping, with a buffer of at most min(len(a), len(b)) pointers, and
+    its stability puts ``b``'s ties first, as ``oracle_merge`` does."""
     merged = [*b, *a]
     merged.sort()
     return merged
@@ -79,7 +85,8 @@ def ghc_sort(s: Sequence[int]) -> list[int]:
 
     Returns a new list; the input is never mutated. The merge tree over
     k segments has depth ceil(log2(k)) and pairs the same runs as
-    merging adjacent pairs level by level, with k-1 calls of ``merge``.
+    merging adjacent pairs level by level, with k-1 calls of ``_merge_runs``.
+    A merged segment left unsorted by its cut raises UnsortedInputError.
     """
     cut = compute_cutpoints(s)
     runs: list[list[int]] = []  # merged blocks of 2**i segments, largest first
@@ -89,14 +96,17 @@ def ghc_sort(s: Sequence[int]) -> list[int]:
         # increasing means the whole segment is nonincreasing.
         if len(run) >= 2 and run[0] >= run[1]:
             run.reverse()
+        # Two elements are sorted once normalized; a lone segment is never merged.
+        if len(run) > 2 and len(cut) > 2 and not is_sorted(run):
+            raise UnsortedInputError(f"segment s[{lo}:{hi}] is not monotonic")
         # Segment k completes one block per trailing zero bit of k.
         while not k & 1:
-            run = merge(runs.pop(), run)
+            run = _merge_runs(runs.pop(), run)
             k >>= 1
         runs.append(run)
     run = runs.pop() if runs else []
     while runs:
-        run = merge(runs.pop(), run)
+        run = _merge_runs(runs.pop(), run)
     return run
 
 

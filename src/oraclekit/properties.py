@@ -9,12 +9,12 @@ of a checker report; a report's flags are its bool fields, in field order
 (``instrument.FlagReport``), which ``cutpoints`` and ``cartesian`` print.
 
 Checks call into the algorithm modules through their module objects,
-so replacing e.g. ``ghcsort.merge`` with a broken variant is enough to
-make the corresponding properties fail; that is what the mutation
-smoke tests rely on. Properties are pure functions of the case object:
-each shared runner remembers its result for the last case object, by
-identity, so the properties of a family compute and check one case's
-answer once.
+so a broken variant patched in fails the properties that reach it, as
+the mutation smoke tests rely on: ``ghcsort.merge`` reaches the two c1b
+merge properties, its kernel ``ghcsort._merge_runs`` every c1b property.
+Properties are pure functions of the case object: each shared runner
+remembers its result for the last case object, by identity, so the
+properties of a family compute and check one case's answer once.
 """
 
 from __future__ import annotations

@@ -442,7 +442,7 @@ def test_check_reports_broken_sequence_properties(capsys, monkeypatch):
                 y += 1
         return out + a[x:] + b[y:]
 
-    monkeypatch.setattr(ghcsort, "merge", merge_tie_drop)
+    monkeypatch.setattr(ghcsort, "_merge_runs", merge_tie_drop)
     names = ("c1b.merge_sorted", "c1b.permutation", "c1b.sorted")
     flags = ("--max-len", "6", "--value-lo", "0", "--value-hi", "9")
     assert run(capsys, "check", *names, *flags) == (

@@ -26,15 +26,16 @@ def insertion_sorted(s):
 
 
 def record_merges(monkeypatch):
-    """Wrap ``ghcsort.merge`` so that each call appends its ``(a, b)``
+    """Wrap the merge kernel ``ghcsort._merge_runs``, which both ``merge``
+    and ``ghc_sort`` call, so that each call appends its ``(a, b)``
     arguments to the returned list."""
     calls = []
 
-    def recording_merge(a, b, inner=ghcsort.merge):
+    def recording_merge(a, b, inner=ghcsort._merge_runs):
         calls.append((a, b))
         return inner(a, b)
 
-    monkeypatch.setattr(ghcsort, "merge", recording_merge)
+    monkeypatch.setattr(ghcsort, "_merge_runs", recording_merge)
     return calls
 
 
@@ -220,6 +221,31 @@ def test_merge_rejects_unsorted_input():
             with pytest.raises(UnsortedInputError) as err:
                 merge(kind(a), kind(b))
             assert str(err.value) == f"{which} input to merge is not sorted"
+
+
+def test_ghc_sort_rejects_an_unsorted_merged_segment(monkeypatch):
+    def bad_cut(s):  # [1, 3, 2] is neither nondecreasing nor nonincreasing
+        return [0, 1, len(s)]
+
+    monkeypatch.setattr(ghcsort, "compute_cutpoints", bad_cut)
+    with pytest.raises(UnsortedInputError) as err:
+        ghc_sort([5, 1, 3, 2])
+    assert str(err.value) == "segment s[1:4] is not monotonic"
+    # A lone segment is never merged and so is not checked.
+    monkeypatch.setattr(ghcsort, "compute_cutpoints", lambda s: [0, len(s)])
+    assert ghc_sort([1, 3, 2]) == [1, 3, 2]
+
+
+def test_merge_checks_then_calls_the_kernel_once(monkeypatch):
+    calls = record_merges(monkeypatch)
+    a, b = [1, 4], (2, 3)
+    assert merge(a, b) == [1, 2, 3, 4]
+    assert len(calls) == 1 and calls[0][0] is a and calls[0][1] is b
+    calls.clear()
+    for x, y in (([2, 1], [3]), ([3], [2, 1])):
+        with pytest.raises(UnsortedInputError):
+            merge(x, y)
+    assert calls == []
 
 
 def test_merge_does_not_mutate_inputs():

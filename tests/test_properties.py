@@ -243,6 +243,7 @@ def swap_root_children(s, tally=None):
 MUTANTS = {
     "none": None,
     "merge_tie_drop": (ghcsort, "merge", merge_tie_drop),
+    "merge_runs_tie_drop": (ghcsort, "_merge_runs", merge_tie_drop),
     "pop_survivor": (ansv, "left_neighbors", pop_survivor),
     "split_after_two": (monotonic, "compute_cutpoints", split_after_two),
     "swap_root_children": (cartesian, "build_tree", swap_root_children),
@@ -269,6 +270,8 @@ def test_shared_runners_match_the_reference(monkeypatch, mutant, seed):
     (
         ("merge_tie_drop", "c1b", "c1b.merge_sorted"),
         ("merge_tie_drop", "c1b", "c1b.merge_oracle_eq"),
+        ("merge_runs_tie_drop", "c1b", "c1b.merge_sorted"),
+        ("merge_runs_tie_drop", "c1b", "c1b.permutation"),
         ("pop_survivor", "c2a", "c2a.smallest"),
         ("split_after_two", "c1a", "c1a.maximal"),
         ("swap_root_children", "c2b", "c2b.binary"),
