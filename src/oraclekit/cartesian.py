@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 # Unused here, but perfbench/tracing.py wraps these two names in this module.
 from .ansv import left_neighbors, right_neighbors  # noqa: F401
 from .errors import DuplicateValuesError, MalformedTreeError
-from .instrument import FlagReport, Tally
+from .instrument import FlagReport, Tally, is_index
 
 __all__ = [
     "CartesianTree",
@@ -84,11 +84,6 @@ def build_tree(s: Sequence[int], tally: Optional[Tally] = None) -> CartesianTree
     return CartesianTree(tuple(parent), tuple(left_child), tuple(right_child), root)
 
 
-def _index(x: object, n: int) -> bool:
-    """True when ``x`` is an ``int`` (``bool`` included) in range(n)."""
-    return isinstance(x, int) and 0 <= x < n
-
-
 def in_order(t: CartesianTree) -> list[int]:
     """Symmetric traversal emitting node indices.
 
@@ -105,7 +100,7 @@ def in_order(t: CartesianTree) -> list[int]:
             raise MalformedTreeError("empty tree cannot have a root")
         return []
     root = t.root
-    if not _index(root, n):
+    if not is_index(root, n):
         raise MalformedTreeError("missing or out-of-range root")
     order: list[int] = []
     stack: list[int] = []
@@ -116,7 +111,7 @@ def in_order(t: CartesianTree) -> list[int]:
             if len(stack) > n:
                 raise MalformedTreeError("cycle through left children")
             nxt = t.left_child[node]
-            if nxt is not None and not _index(nxt, n):
+            if nxt is not None and not is_index(nxt, n):
                 raise MalformedTreeError(f"left child of {node} out of range")
             node = nxt
         node = stack.pop()
@@ -124,7 +119,7 @@ def in_order(t: CartesianTree) -> list[int]:
         if len(order) > n:
             raise MalformedTreeError("cycle: more visits than nodes")
         nxt = t.right_child[node]
-        if nxt is not None and not _index(nxt, n):
+        if nxt is not None and not is_index(nxt, n):
             raise MalformedTreeError(f"right child of {node} out of range")
         node = nxt
     if len(order) != n or len(set(order)) != n:
@@ -214,7 +209,7 @@ def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:
         and all(
             x == t.root
             if p is None
-            else _index(p, n) and (left if x < p else right)[p] == x
+            else is_index(p, n) and (left if x < p else right)[p] == x
             for x, p in enumerate(t.parent)
         )
     )
@@ -225,7 +220,7 @@ def check_tree(s: Sequence[int], t: CartesianTree) -> TreeReport:
             p = t.parent[x]
             if p is None:
                 continue
-            if not _index(p, n) or not s[x] > s[p]:
+            if not is_index(p, n) or not s[x] > s[p]:
                 heap_ok = False
                 break
 

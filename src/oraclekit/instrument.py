@@ -1,7 +1,7 @@
-"""Operation counters that certify complexity claims in tests, and the
-flags of the checker reports: a report's bool fields, in field order, are
-its flags, and the ``cutpoints`` and ``cartesian`` commands print them in
-that order.
+"""Operation counters that certify complexity claims in tests; the flags
+of the checker reports (a report's bool fields, in field order, which the
+``cutpoints`` and ``cartesian`` commands print in that order); and
+``is_index``, the one rule by which the checkers read an index.
 """
 
 from dataclasses import dataclass, fields
@@ -28,3 +28,8 @@ class FlagReport:
 
     def all_ok(self) -> bool:
         return all(ok for _, ok in self.flags())
+
+
+def is_index(x: object, n: int) -> bool:
+    """True when ``x`` is an ``int`` (``bool`` included) in range(n)."""
+    return isinstance(x, int) and 0 <= x < n

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Optional, Sequence
 
 from .errors import BoundsError
-from .instrument import FlagReport, Tally
+from .instrument import FlagReport, Tally, is_index
 
 __all__ = [
     "CutReport",
@@ -134,30 +134,38 @@ def check_cutpoints(s: Sequence[int], cut: Sequence[int]) -> CutReport:
     still says which properties happen to hold. ``right_maximal`` is
     only granted when ``monotonic`` holds: it asserts that each segment
     ending before ``n`` stops monotonicity when extended right by one.
+    A cut that is no index in range(n + 1) (``instrument.is_index``)
+    makes false every flag that reads it; nothing here raises on a cut.
     """
     n = len(s)
     m = len(cut)
 
     non_empty = m > 0
-    begin_to_end = m > 0 and cut[0] == 0 and cut[-1] == n
+    # is_index(c, 1): c is the index 0.
+    begin_to_end = m > 0 and is_index(cut[0], 1) and is_index(cut[-1], n + 1) and cut[-1] == n
 
-    within_bounds = True
+    # In bulk: every cut is an index, is_index(c, n + 1), above the one before
+    # it. The per-cut scan runs only on failure, to find the first bad cut.
+    within_bounds = (all(map(isinstance, cut, repeat(int)))
+                     and (m == 0 or 0 <= cut[0] and cut[-1] <= n)
+                     and all(map(operator.lt, cut, islice(cut, 1, None))))
     bounds_at = 0
-    for k, c in enumerate(cut):
-        if not 0 <= c <= n or (k > 0 and cut[k - 1] >= c):
-            within_bounds = False
-            bounds_at = k
-            break
+    if not within_bounds:
+        bounds_at = next(k for k, c in enumerate(cut)
+                         if not is_index(c, n + 1) or k > 0 and cut[k - 1] >= c)
 
     # One scan over the segments, reading directions from up[i] = s[i] < s[i+1].
     up = list(map(operator.lt, s, islice(s, 1, None)))
     broken_at = extendable_at = None
     for k in range(m - 1):
         lo, hi = cut[k], cut[k + 1]
+        # Within bounds, every cut is an index and they increase.
+        if not (within_bounds or is_index(lo, n + 1) and is_index(hi, n + 1) and lo <= hi):
+            broken_at = k
+            break
         # s[lo:hi] is monotonic iff up[lo:hi-1] is all true or all false.
         d = hi - lo
-        if (not 0 <= lo <= hi <= n or d == 3 and up[lo] != up[lo + 1]
-                or d > 3 and len(set(up[lo : hi - 1])) > 1):
+        if d == 3 and up[lo] != up[lo + 1] or d > 3 and len(set(up[lo : hi - 1])) > 1:
             broken_at = k
             break
         # s[lo:hi+1] is monotonic too unless s[lo:hi] has a direction (two

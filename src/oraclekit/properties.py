@@ -241,140 +241,54 @@ def _race_witness(_value):
     return None
 
 
-_ALL = (
-    Property(
-        "c1a.nonempty",
-        "sequence",
-        _flag(_cutpoints, "non_empty"),
-        "cutpoint list is never empty",
-    ),
-    Property(
-        "c1a.begin_end",
-        "sequence",
-        _flag(_cutpoints, "begin_to_end"),
-        "cutpoints start at 0 and end at len(s)",
-    ),
-    Property(
-        "c1a.bounds",
-        "sequence",
-        _flag(_cutpoints, "within_bounds"),
-        "cutpoints are strictly increasing within [0, len(s)]",
-    ),
-    Property(
-        "c1a.monotonic",
-        "sequence",
-        _flag(_cutpoints, "monotonic"),
-        "every delimited segment is monotonic",
-    ),
-    Property(
-        "c1a.maximal",
-        "sequence",
-        _flag(_cutpoints, "right_maximal"),
-        "no segment can be extended one element to the right",
-    ),
-    Property(
-        "c1a.oracle_eq",
-        "sequence",
-        _cutpoints_oracle_eq,
-        "one-scan cutpoints equal the greedy prefix oracle",
-    ),
-    Property(
-        "c1b.merge_sorted",
-        "sequence",
-        _merge_sorted,
-        "merging two sorted halves is sorted and loses nothing",
-    ),
-    Property(
-        "c1b.merge_oracle_eq",
-        "sequence",
-        _merge_oracle_eq,
-        "merging two sorted halves equals the two-iterator oracle",
-    ),
-    Property(
-        "c1b.sorted",
-        "sequence",
-        _sort_sorted,
-        "ghc_sort output is nondecreasing",
-    ),
-    Property(
-        "c1b.permutation",
-        "sequence",
-        _sort_permutation,
-        "ghc_sort output is a permutation of its input",
-    ),
-    Property(
-        "c2a.index",
-        "sequence",
-        _flag(_left_neighbors, "index_ok"),
-        "left neighbor indices lie strictly left of their element",
-    ),
-    Property(
-        "c2a.value",
-        "sequence",
-        _flag(_left_neighbors, "value_ok"),
-        "neighbor values are strictly smaller",
-    ),
-    Property(
-        "c2a.smallest",
-        "sequence",
-        _flag(_left_neighbors, "smallest_ok"),
-        "nothing between neighbor and element is smaller",
-    ),
-    Property(
-        "c2a.oracle_eq",
-        "sequence",
-        _ansv_oracle_eq,
-        "stack-based neighbors equal the quadratic oracle, both directions",
-    ),
-    Property(
-        "c2b.binary",
-        "sequence",
-        _flag(_tree, "binary_ok"),
-        "parent and child links form one consistent binary tree",
-    ),
-    Property(
-        "c2b.heap",
-        "sequence",
-        _flag(_tree, "heap_ok"),
-        "every non-root value exceeds its parent's value",
-    ),
-    Property(
-        "c2b.traversal",
-        "sequence",
-        _flag(_tree, "traversal_ok"),
-        "in-order traversal recovers positions 0..n-1",
-    ),
-    Property(
-        "c2b.oracle_eq",
-        "sequence",
-        _tree_oracle_eq,
-        "neighbor-built tree equals the min-split oracle",
-    ),
-    Property(
-        "c3.seq_correct",
-        "coo",
-        _seq_correct,
-        "sparse product equals the dense textbook product",
-    ),
-    Property(
-        "c3.parallel_eq_seq",
-        "coo",
-        _parallel_eq_seq,
-        "threaded product is bit-identical to sequential, all policies",
-    ),
-    Property(
-        "c3.no_concurrency_issues",
-        "fixed",
-        _no_concurrency_issues,
-        "exhaustive interleavings of small synchronized models stay sequential",
-    ),
-    Property(
-        "c3.race_witness",
-        "fixed",
-        _race_witness,
-        "unsynchronized model provably reaches lost-update outputs",
-    ),
-)
-
-REGISTRY = {p.name: p for p in _ALL}
-PROPERTY_NAMES = tuple(p.name for p in _ALL)
+# One (name, kind, check, summary) row per property, in ``check --list`` order.
+REGISTRY = {
+    name: Property(name, kind, check, summary)
+    for name, kind, check, summary in (
+        ("c1a.nonempty", "sequence", _flag(_cutpoints, "non_empty"),
+         "cutpoint list is never empty"),
+        ("c1a.begin_end", "sequence", _flag(_cutpoints, "begin_to_end"),
+         "cutpoints start at 0 and end at len(s)"),
+        ("c1a.bounds", "sequence", _flag(_cutpoints, "within_bounds"),
+         "cutpoints are strictly increasing within [0, len(s)]"),
+        ("c1a.monotonic", "sequence", _flag(_cutpoints, "monotonic"),
+         "every delimited segment is monotonic"),
+        ("c1a.maximal", "sequence", _flag(_cutpoints, "right_maximal"),
+         "no segment can be extended one element to the right"),
+        ("c1a.oracle_eq", "sequence", _cutpoints_oracle_eq,
+         "one-scan cutpoints equal the greedy prefix oracle"),
+        ("c1b.merge_sorted", "sequence", _merge_sorted,
+         "merging two sorted halves is sorted and loses nothing"),
+        ("c1b.merge_oracle_eq", "sequence", _merge_oracle_eq,
+         "merging two sorted halves equals the two-iterator oracle"),
+        ("c1b.sorted", "sequence", _sort_sorted,
+         "ghc_sort output is nondecreasing"),
+        ("c1b.permutation", "sequence", _sort_permutation,
+         "ghc_sort output is a permutation of its input"),
+        ("c2a.index", "sequence", _flag(_left_neighbors, "index_ok"),
+         "left neighbor indices lie strictly left of their element"),
+        ("c2a.value", "sequence", _flag(_left_neighbors, "value_ok"),
+         "neighbor values are strictly smaller"),
+        ("c2a.smallest", "sequence", _flag(_left_neighbors, "smallest_ok"),
+         "nothing between neighbor and element is smaller"),
+        ("c2a.oracle_eq", "sequence", _ansv_oracle_eq,
+         "stack-based neighbors equal the quadratic oracle, both directions"),
+        ("c2b.binary", "sequence", _flag(_tree, "binary_ok"),
+         "parent and child links form one consistent binary tree"),
+        ("c2b.heap", "sequence", _flag(_tree, "heap_ok"),
+         "every non-root value exceeds its parent's value"),
+        ("c2b.traversal", "sequence", _flag(_tree, "traversal_ok"),
+         "in-order traversal recovers positions 0..n-1"),
+        ("c2b.oracle_eq", "sequence", _tree_oracle_eq,
+         "neighbor-built tree equals the min-split oracle"),
+        ("c3.seq_correct", "coo", _seq_correct,
+         "sparse product equals the dense textbook product"),
+        ("c3.parallel_eq_seq", "coo", _parallel_eq_seq,
+         "threaded product is bit-identical to sequential, all policies"),
+        ("c3.no_concurrency_issues", "fixed", _no_concurrency_issues,
+         "exhaustive interleavings of small synchronized models stay sequential"),
+        ("c3.race_witness", "fixed", _race_witness,
+         "unsynchronized model provably reaches lost-update outputs"),
+    )
+}
+PROPERTY_NAMES = tuple(REGISTRY)

@@ -271,14 +271,17 @@ def coo_from_text(text: str) -> CooMatrix:
 
     Tokens are ASCII signed decimals (``DECIMAL_RE``) separated by any
     whitespace, read by ``_decimals`` (a canonical file by the JSON scanner,
-    with the same results and errors as token by token); the triplets must
-    already be sorted. Raises kit errors naming the violated rule.
+    with the same results and errors as token by token); the header values
+    must fit in 64 bits and the triplets must already be sorted. Raises kit
+    errors naming the violated rule.
     """
     # Rule order: ASCII, then a three-token header, then each token.
     if text.isascii() and len(text.split(maxsplit=2)) < 3:
         raise OrderError("header must be three integers: R C NNZ")
     numbers = _decimals(text, "matrix")
     rows, cols, nnz = numbers[:3]
+    if not _fits64(numbers[:3]):  # name the first bad token or value in file order
+        _reject_first_bad(text.split(), "matrix")
     if nnz < 0:
         raise OrderError(f"declared triplet count {nnz} is negative")
     if len(numbers) - 3 != 3 * nnz:

@@ -205,11 +205,37 @@ def test_check_unknown_property(capsys):
     assert code == 2 and "unknown properties" in err
 
 
+CHECK_LIST = (
+    "c1a.nonempty  cutpoint list is never empty\n"
+    "c1a.begin_end  cutpoints start at 0 and end at len(s)\n"
+    "c1a.bounds  cutpoints are strictly increasing within [0, len(s)]\n"
+    "c1a.monotonic  every delimited segment is monotonic\n"
+    "c1a.maximal  no segment can be extended one element to the right\n"
+    "c1a.oracle_eq  one-scan cutpoints equal the greedy prefix oracle\n"
+    "c1b.merge_sorted  merging two sorted halves is sorted and loses nothing\n"
+    "c1b.merge_oracle_eq  merging two sorted halves equals the two-iterator oracle\n"
+    "c1b.sorted  ghc_sort output is nondecreasing\n"
+    "c1b.permutation  ghc_sort output is a permutation of its input\n"
+    "c2a.index  left neighbor indices lie strictly left of their element\n"
+    "c2a.value  neighbor values are strictly smaller\n"
+    "c2a.smallest  nothing between neighbor and element is smaller\n"
+    "c2a.oracle_eq  stack-based neighbors equal the quadratic oracle, both directions\n"
+    "c2b.binary  parent and child links form one consistent binary tree\n"
+    "c2b.heap  every non-root value exceeds its parent's value\n"
+    "c2b.traversal  in-order traversal recovers positions 0..n-1\n"
+    "c2b.oracle_eq  neighbor-built tree equals the min-split oracle\n"
+    "c3.seq_correct  sparse product equals the dense textbook product\n"
+    "c3.parallel_eq_seq  threaded product is bit-identical to sequential, all policies\n"
+    "c3.no_concurrency_issues  exhaustive interleavings of small synchronized models stay sequential\n"
+    "c3.race_witness  unsynchronized model provably reaches lost-update outputs\n"
+)
+
+
 def test_check_list(capsys):
+    """Every name and summary, in registry order, byte for byte."""
     code, out, _ = run(capsys, "check", "--list")
     assert code == 0
-    assert len(out.splitlines()) == 22
-    assert out.splitlines()[0].startswith("c1a.nonempty  ")
+    assert out == CHECK_LIST
 
 
 def test_input_errors_exit_2(tmp_path, capsys):

@@ -69,6 +69,27 @@ def test_report_flags_are_independent():
     assert r.first_violation == ("right_maximal", 0)
 
 
+# Cuts that are no index in range(n + 1) for n = 3, and True, which reads as 1.
+NON_INDEX_CUTS = (None, "1", 1.5, 3.0, -1, 4)
+
+
+@pytest.mark.parametrize("pos", range(3))
+@pytest.mark.parametrize("bad", NON_INDEX_CUTS + (True,), ids=repr)
+def test_non_index_cut_makes_false_every_flag_that_reads_it(bad, pos):
+    s = [1, 2, 3]
+    cut = [0, 2, 3]
+    cut[pos] = bad
+    r = check_cutpoints(s, cut)
+    if bad is True:
+        cut[pos] = 1
+        assert r == check_cutpoints(s, cut)
+        return
+    end = pos != 1  # begin_to_end reads only the first and the last cut
+    assert r.non_empty and r.begin_to_end is not end
+    assert not (r.within_bounds or r.monotonic or r.right_maximal)
+    assert r.first_violation == (("begin_to_end", 0) if end else ("within_bounds", 1))
+
+
 def test_report_catches_nonmonotonic_segment():
     s = [1, 3, 2]
     r = check_cutpoints(s, [0, 3])

@@ -119,6 +119,19 @@ def test_hand_written_texts_parse_as_the_reference(tmp_path, monkeypatch, text):
     assert outcomes(text, path) == reference_outcomes(text, path, monkeypatch)
 
 
+@pytest.mark.parametrize("tail", ["", " x", "\n1 1 x"], ids=["alone", "bad-token", "bad-triplet"])
+@pytest.mark.parametrize("big", [2**64, INT64_MAX + 1, INT64_MIN - 1])
+@pytest.mark.parametrize("pos", [0, 1, 2], ids=["rows", "cols", "nnz"])
+def test_header_value_outside_int64_is_named(pos, big, tail):
+    """The same error whether or not a bad token follows the header."""
+    header = ["1", "1", "0"]
+    header[pos] = str(big)
+    text = " ".join(header) + tail + "\n"
+    with pytest.raises(OverflowError) as exc:
+        coo_from_text(text)
+    assert str(exc.value) == f"matrix value {big} does not fit in 64 bits"
+
+
 PIECES = (
     ["0", "1", "7", "9", "42", " ", "\n"] * 6
     + ["-", "+", "  ", "\n\n", "\t", "\r\n", "_", ",", ".", "e", "[", "]", '"', "x", "007"]
