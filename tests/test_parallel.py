@@ -141,6 +141,21 @@ def test_model_action_shapes():
     assert ts.sequential_result == (15, 28)
 
 
+def test_model_actions_are_pinned():
+    # Deltas x[r] * v: 5 * 3 = 15 into column 0 and 7 * 4 = 28 into column 1.
+    m = coo_from_triplets(2, 2, [(1, 1, 3), (2, 2, 4)])
+    per_triplet = {
+        "atomic_rmw": lambda c, d: ((_ADD, c, d),),
+        "lock_per_cell": lambda c, d: ((_ACQUIRE, c, 0), (_ADD, c, d), (_RELEASE, c, 0)),
+        "none_split_rw": lambda c, d: ((_READ, c, 0), (_WRITE, c, d)),
+    }
+    assert tuple(per_triplet) == SYNC_MODES
+    for sync, acts in per_triplet.items():
+        first, second = acts(0, 15), acts(1, 28)
+        assert build_model([5, 7], m, 1, sync).worker_actions == (first + second,)
+        assert build_model([5, 7], m, 2, sync).worker_actions == (first, second)
+
+
 def test_model_validation():
     m = coo_from_triplets(1, 1, [(1, 1, 1)])
     with pytest.raises(ConfigError):

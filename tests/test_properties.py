@@ -377,3 +377,20 @@ def test_fixed_properties_run_their_sweep_on_every_call(monkeypatch):
         assert once > 0
         assert check(None) is None
         assert len(calls) == 2 * once, name
+
+
+def test_no_concurrency_issues_builds_every_small_model(monkeypatch):
+    # Every cell subset of the 1x1, 1x2, 2x1 and 2x2 shapes, with entries and
+    # x in {1, 2}, gives 6 + 18 + 36 + 324 = 384 (matrix, x) pairs; times 3
+    # worker counts and 2 sync modes, 2,304 distinct models.
+    built = []
+    build_model = parallel.build_model
+
+    def counted(x, m, workers, sync_mode):
+        built.append((tuple(x), m, workers, sync_mode))
+        return build_model(x, m, workers, sync_mode)
+
+    monkeypatch.setattr(parallel, "build_model", counted)
+    assert REGISTRY["c3.no_concurrency_issues"].check(None) is None
+    assert len(built) == 2304
+    assert len(set(built)) == 2304
