@@ -118,8 +118,9 @@ def check_ansv(s: Sequence[int], a: NeighborArray) -> AnsvReport:
     index_ok: every present neighbor is a valid index before its owner.
     value_ok: every present neighbor holds a strictly smaller value.
     smallest_ok: no index between the neighbor (exclusive) and the owner
-    holds a smaller value. An array of the wrong length fails all three
-    flags.
+    holds a smaller value. A right array, a wrong length or an entry that is
+    neither None nor an ``int`` (``instrument.is_index``'s rule) fails all
+    three flags; an out-of-range ``int`` fails only the flags it breaks.
 
     smallest_ok walks from ``i - 1`` down to the neighbor (or to the start
     when it is absent or negative), jumping from j to ``nb[j]`` whenever
@@ -129,11 +130,11 @@ def check_ansv(s: Sequence[int], a: NeighborArray) -> AnsvReport:
     steps than a direct scan of the gap; on a correct array it steps over
     exactly the entries that the stack pass pops, at most n in total.
     """
-    if a.direction != "left":
-        raise ValueError("check_ansv checks left arrays; mirror the sequence for right")
     n = len(s)
     nb = a.neighbors
-    if len(nb) != n:
+    if a.direction != "left" or len(nb) != n or not all(
+        y is None or isinstance(y, int) for y in nb
+    ):
         return AnsvReport(index_ok=False, value_ok=False, smallest_ok=False)
 
     index_ok = value_ok = smallest_ok = True

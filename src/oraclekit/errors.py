@@ -28,7 +28,8 @@ class MalformedTreeError(OracleKitError):
 
 
 class OrderError(OracleKitError):
-    """Sparse triplets are not strictly sorted by (row, column)."""
+    """Triplets out of (row, column) order, or malformed file text: not ASCII,
+    a bad or over-long token, a short header, a negative or wrong NNZ count."""
 
 
 class ZeroEntryError(OracleKitError):

@@ -52,10 +52,17 @@ _MAX_MODEL_TRIPLETS = 32  # largest triplet count ``build_model`` abstracts
 # Every product's workers run here; threads start on first use and stay.
 _POOL = ThreadPoolExecutor(MAX_WORKERS)
 
-SYNC_MODES = ("atomic_rmw", "lock_per_cell", "none_split_rw")
-
 # Action opcodes for the explorer.
 _ADD, _ACQUIRE, _RELEASE, _READ, _WRITE = range(5)
+
+# Each sync mode's update of one triplet's cell; _ADD and _WRITE carry its
+# delta, and _WRITE stores the worker's temp (its _READ of the cell) + delta.
+_UPDATES = {
+    "atomic_rmw": (_ADD,),
+    "lock_per_cell": (_ACQUIRE, _ADD, _RELEASE),
+    "none_split_rw": (_READ, _WRITE),
+}
+SYNC_MODES = tuple(_UPDATES)
 
 
 @dataclass(frozen=True)
@@ -181,40 +188,29 @@ def build_model(
 ) -> TransitionSystem:
     """Abstract the multiplication into a transition system.
 
-    Work is split with static_chunks(workers). Action shapes per
-    triplet: atomic_rmw -> one add; lock_per_cell -> acquire, add,
-    release; none_split_rw -> read into a worker-local temp, then write
-    temp + delta (the racy two-step update).
+    Work is split with static_chunks(workers), and each triplet becomes
+    its sync mode's update from ``_UPDATES``.
     """
-    if sync_mode not in SYNC_MODES:
+    if sync_mode not in _UPDATES:
         raise ConfigError(f"unknown sync mode {sync_mode!r}")
     _check_workers(workers)
-    if len(x) != m.rows:
-        raise DimensionError(f"vector length {len(x)} != matrix rows {m.rows}")
     nnz = len(m.vals)
     if nnz > _MAX_MODEL_TRIPLETS:
         raise ModelTooLargeError(
             f"{nnz} triplets exceed the model cap of {_MAX_MODEL_TRIPLETS}"
         )
-    sequential = tuple(multiply_seq(x, m))  # raises on any int64 overflow
+    sequential = tuple(multiply_seq(x, m))  # checks x's length; raises on overflow
 
     rs, cs, vs = m.row_idx, m.col_idx, m.vals
-    worker_actions = []
-    for chunk in _chunks(nnz, workers):
-        actions: list[tuple[int, int, int]] = []
-        for k in chunk:
-            c, delta = cs[k], x[rs[k]] * vs[k]
-            if sync_mode == "atomic_rmw":
-                actions.append((_ADD, c, delta))
-            elif sync_mode == "lock_per_cell":
-                actions.append((_ACQUIRE, c, 0))
-                actions.append((_ADD, c, delta))
-                actions.append((_RELEASE, c, 0))
-            else:
-                actions.append((_READ, c, 0))
-                actions.append((_WRITE, c, delta))
-        worker_actions.append(tuple(actions))
-    return TransitionSystem(tuple(worker_actions), m.cols, sync_mode, sequential)
+    worker_actions = tuple(
+        tuple(
+            (op, cs[k], x[rs[k]] * vs[k] if op in (_ADD, _WRITE) else 0)
+            for k in chunk
+            for op in _UPDATES[sync_mode]
+        )
+        for chunk in _chunks(nnz, workers)
+    )
+    return TransitionSystem(worker_actions, m.cols, sync_mode, sequential)
 
 
 @dataclass(frozen=True)

@@ -190,8 +190,8 @@ def _parallel_eq_seq(value):
 def _no_concurrency_issues(_value):
     """Exhaust every small model under both safe synchronization modes.
 
-    Matrices up to 2x2, every subset of cells with at most 4 entries,
-    entry and vector values in {1, 2}, 1 to 3 workers. Each model's
+    Matrices up to 2x2, every subset of their cells, entry and vector
+    values in {1, 2}, 1 to 3 workers: 2,304 models. Each model's
     full interleaving space must reach exactly the sequential result
     and never deadlock.
     """
@@ -199,8 +199,6 @@ def _no_concurrency_issues(_value):
         cells = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
         for mask in range(1 << len(cells)):
             chosen = [cells[i] for i in range(len(cells)) if mask >> i & 1]
-            if len(chosen) > 4:
-                continue
             for values in product((1, 2), repeat=len(chosen)):
                 triplets = [(r, c, v) for (r, c), v in zip(chosen, values)]
                 m = spmv.coo_from_triplets(rows, cols, triplets)
@@ -233,8 +231,6 @@ def _race_witness(_value):
     ts = parallel.build_model([1, 1], m, workers=2, sync_mode="none_split_rw")
     rep = parallel.explore(ts)
     outs = rep.terminal_outputs
-    if len(outs) < 2:
-        return f"expected several terminal outputs, got {sorted(outs)}"
     missing = [t for t in ((1,), (2,), (3,)) if t not in outs]
     if missing:
         return f"terminal outputs {sorted(outs)} missing {missing}"

@@ -31,7 +31,6 @@ __all__ = [
     "INT64_MAX",
     "INT64_MIN",
     "CooMatrix",
-    "DenseMatrix",
     "accumulate",
     "coo_from_text",
     "coo_from_triplets",
@@ -123,15 +122,6 @@ class CooMatrix:
         return [(r + 1, c + 1, v) for r, c, v in entries]
 
 
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Explicit rows-by-cols grid, zeros included."""
-
-    rows: int
-    cols: int
-    cells: tuple[tuple[int, ...], ...]
-
-
 def coo_from_triplets(
     rows: int, cols: int, triplets: Iterable[tuple[int, int, int]]
 ) -> CooMatrix:
@@ -180,10 +170,12 @@ def _reject_first_bad_triplet(rows: int, cols: int, triplets: Iterable) -> NoRet
     raise AssertionError("unreachable: every triplet is valid")
 
 
-def dense_from_rows(rows_of_values: Sequence[Sequence[int]]) -> DenseMatrix:
-    """Build a DenseMatrix from a nonempty rectangular grid."""
-    r = len(rows_of_values)
-    if r < 1:
+def dense_from_rows(
+    rows_of_values: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], ...]:
+    """Check a nonempty rectangular grid of int64 cells; return it as a dense
+    matrix, the tuple of its row tuples."""
+    if not rows_of_values:
         raise DimensionError("dense matrix needs at least one row")
     c = len(rows_of_values[0])
     if c < 1:
@@ -193,23 +185,21 @@ def dense_from_rows(rows_of_values: Sequence[Sequence[int]]) -> DenseMatrix:
             raise DimensionError("dense matrix rows must have equal length")
         for v in row:
             _check64(v, "dense cell")
-    return DenseMatrix(r, c, tuple(tuple(row) for row in rows_of_values))
+    return tuple(map(tuple, rows_of_values))
 
 
-def to_dense(m: CooMatrix) -> DenseMatrix:
+def to_dense(m: CooMatrix) -> tuple[tuple[int, ...], ...]:
     """Expand a sparse matrix to its explicit grid."""
     grid = [[0] * m.cols for _ in range(m.rows)]
     for r, c, v in zip(m.row_idx, m.col_idx, m.vals):
         grid[r][c] = v
-    return DenseMatrix(m.rows, m.cols, tuple(tuple(row) for row in grid))
+    return tuple(map(tuple, grid))
 
 
-def from_dense(d: DenseMatrix) -> CooMatrix:
+def from_dense(d: Sequence[Sequence[int]]) -> CooMatrix:
     """Collect nonzero cells of a grid; inverse of ``to_dense``."""
-    nonzeros = [
-        (r, c, v) for r, row in enumerate(d.cells) for c, v in enumerate(row) if v
-    ]
-    return CooMatrix(d.rows, d.cols, *(tuple(zip(*nonzeros)) or ((), (), ())))
+    nonzeros = [(r, c, v) for r, row in enumerate(d) for c, v in enumerate(row) if v]
+    return CooMatrix(len(d), len(d[0]), *(tuple(zip(*nonzeros)) or ((), (), ())))
 
 
 def multiply_seq(x: Sequence[int], m: CooMatrix) -> list[int]:
@@ -244,19 +234,19 @@ def accumulate(
         y[c] = t
 
 
-def oracle_multiply_dense(x: Sequence[int], d: DenseMatrix) -> list[int]:
+def oracle_multiply_dense(x: Sequence[int], d: Sequence[Sequence[int]]) -> list[int]:
     """Textbook reference product: y_i = sum_k x[k] * d[k][i].
 
     Iterates the full grid including zeros; shares nothing with the
     sparse code path.
     """
-    if len(x) != d.rows:
-        raise DimensionError(f"vector length {len(x)} != matrix rows {d.rows}")
+    if len(x) != len(d):
+        raise DimensionError(f"vector length {len(x)} != matrix rows {len(d)}")
     y = []
-    for i in range(d.cols):
+    for i in range(len(d[0])):
         acc = 0
-        for k in range(d.rows):
-            p = x[k] * d.cells[k][i]
+        for k in range(len(d)):
+            p = x[k] * d[k][i]
             if not INT64_MIN <= p <= INT64_MAX:
                 raise OverflowError(f"product at ({k + 1},{i + 1}) overflows 64 bits")
             acc += p

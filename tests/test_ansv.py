@@ -113,8 +113,8 @@ def test_check_flags_each_defect():
 
 
 def test_check_rejects_right_direction():
-    with pytest.raises(ValueError):
-        check_ansv([1, 2], right_neighbors([1, 2]))
+    r = check_ansv([1, 2], right_neighbors([1, 2]))
+    assert (r.index_ok, r.value_ok, r.smallest_ok) == (False, False, False)
 
 
 def _reference_check_ansv(s, a):

@@ -170,6 +170,8 @@ def test_model_validation():
     assert len(big.vals) == 33
     with pytest.raises(ModelTooLargeError):
         build_model([1, 1, 1], big, 1, "atomic_rmw")
+    with pytest.raises(ModelTooLargeError):  # the cap is checked before x's length
+        build_model([1], big, 1, "atomic_rmw")
 
 
 def test_synchronized_models_match_sequential():
