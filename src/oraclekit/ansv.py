@@ -16,6 +16,7 @@ neighbors; the reported neighbor always holds a strictly smaller value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .instrument import FlagReport, Tally
@@ -133,7 +134,7 @@ def check_ansv(s: Sequence[int], a: NeighborArray) -> AnsvReport:
     n = len(s)
     nb = a.neighbors
     if a.direction != "left" or len(nb) != n or not all(
-        y is None or isinstance(y, int) for y in nb
+        map(isinstance, nb, repeat((int, type(None))))
     ):
         return AnsvReport(index_ok=False, value_ok=False, smallest_ok=False)
 

@@ -55,8 +55,7 @@ _POOL = ThreadPoolExecutor(MAX_WORKERS)
 # Action opcodes for the explorer.
 _ADD, _ACQUIRE, _RELEASE, _READ, _WRITE = range(5)
 
-# Each sync mode's update of one triplet's cell; _ADD and _WRITE carry its
-# delta, and _WRITE stores the worker's temp (its _READ of the cell) + delta.
+# Each sync mode's update of one triplet's cell; _ADD and _WRITE carry its delta.
 _UPDATES = {
     "atomic_rmw": (_ADD,),
     "lock_per_cell": (_ACQUIRE, _ADD, _RELEASE),
@@ -202,15 +201,15 @@ def build_model(
     sequential = tuple(multiply_seq(x, m))  # checks x's length; raises on overflow
 
     rs, cs, vs = m.row_idx, m.col_idx, m.vals
-    worker_actions = tuple(
-        tuple(
-            (op, cs[k], x[rs[k]] * vs[k] if op in (_ADD, _WRITE) else 0)
-            for k in chunk
-            for op in _UPDATES[sync_mode]
-        )
-        for chunk in _chunks(nnz, workers)
-    )
-    return TransitionSystem(worker_actions, m.cols, sync_mode, sequential)
+    worker_actions = []
+    for chunk in _chunks(nnz, workers):
+        actions = []
+        for k in chunk:
+            c, delta = cs[k], x[rs[k]] * vs[k]
+            for op in _UPDATES[sync_mode]:
+                actions.append((op, c, delta if op in (_ADD, _WRITE) else 0))
+        worker_actions.append(tuple(actions))
+    return TransitionSystem(tuple(worker_actions), m.cols, sync_mode, sequential)
 
 
 @dataclass(frozen=True)
