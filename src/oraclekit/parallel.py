@@ -27,6 +27,7 @@ import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DimensionError, ModelTooLargeError
@@ -126,12 +127,12 @@ def multiply_parallel(
 
     Each worker is one pool task accumulating into a private length-C
     vector; once all have finished, the first failure in worker-id order
-    is raised, else partials are merged in worker-id order. static_chunks
-    gives each of ``policy.workers`` workers one contiguous slice of the
-    triplets. dynamic_stealing runs ``policy.workers`` workers, and
-    per_element ``min(nnz, MAX_WORKERS)``, that claim one triplet at a
-    time from a shared counter; there a partial sum near the int64 limit
-    may overflow under one schedule and not under another.
+    is raised, else partials are added onto worker 0's in worker-id order.
+    static_chunks gives each of ``policy.workers`` workers one contiguous
+    slice of the triplets. dynamic_stealing runs ``policy.workers``
+    workers, and per_element ``min(nnz, MAX_WORKERS)``, that claim one
+    triplet at a time from a shared counter; there a partial sum near the
+    int64 limit may overflow under one schedule and not under another.
     """
     if len(x) != m.rows:
         raise DimensionError(f"vector length {len(x)} != matrix rows {m.rows}")
@@ -146,10 +147,8 @@ def multiply_parallel(
         raise ConfigError(f"unknown allocation policy kind {policy.kind!r}")
 
     if policy.kind == "static_chunks":
-        tasks = [
-            zip(rs[k.start : k.stop], cs[k.start : k.stop], vs[k.start : k.stop])
-            for k in _chunks(nnz, workers)
-        ]
+        chunks = _chunks(nnz, workers)  # islice, not a slice: no copy per chunk
+        tasks = [islice(zip(rs, cs, vs), k.start, k.stop) for k in chunks]
     else:
         counter = _ClaimCounter(nnz)
         tasks = [
@@ -157,18 +156,20 @@ def multiply_parallel(
             for _ in range(workers)
         ]
 
-    partials = [[0] * m.cols for _ in range(workers)]
+    x = [0, *x]  # accumulate's vectors carry an unused slot 0
+    partials = [[0] * (m.cols + 1) for _ in range(workers)]
     futures = [_POOL.submit(accumulate, p, x, t) for p, t in zip(partials, tasks)]
     wait(futures)  # the join barrier: every worker finishes before any raise
     for f in futures:
         f.result()  # re-raises the first worker failure in worker-id order
 
-    y = [0] * m.cols
-    for partial in partials:
+    y, *rest = partials or [[0] * (m.cols + 1)]
+    for partial in rest:
         y = list(map(operator.add, y, partial))
         if not _fits64(y):  # name the first overflow in worker, then column, order
-            for c, t in enumerate(y, 1):
+            for c, t in enumerate(y):
                 _check64(t, f"column {c} merged sum")
+    del y[0]
     return y
 
 
@@ -205,7 +206,7 @@ def build_model(
     for chunk in _chunks(nnz, workers):
         actions = []
         for k in chunk:
-            c, delta = cs[k], x[rs[k]] * vs[k]
+            c, delta = cs[k] - 1, x[rs[k] - 1] * vs[k]
             for op in _UPDATES[sync_mode]:
                 actions.append((op, c, delta if op in (_ADD, _WRITE) else 0))
         worker_actions.append(tuple(actions))
@@ -228,10 +229,10 @@ def explore(ts: TransitionSystem, max_states: int = 1_000_000) -> ExplorationRep
     Depth-first search with visited-state memoization over the K cells
     some action touches, renumbered ``0..K-1``; the other columns stay 0
     and are filled back into each terminal. A state is one flat tuple:
-    worker program counters ``[0:W]``, cells ``[W:W+K]``, then the lock
-    bits (lock_per_cell) or the worker temps (none_split_rw). A successor
-    copies the state into a list, sets the one or two slots the action
-    changes and freezes it; each popped state is hashed once, by the
+    worker program counters ``[0:W]``, cells ``[W:W+K]``, then a lock bit
+    per cell and a temp per worker, each only if some opcode uses it. A
+    successor copies the state into a list, sets the one or two slots the
+    action changes and freezes it; each popped state is hashed once, by the
     ``add`` to the visited set. Raises ModelTooLargeError with partial
     statistics when more than ``max_states`` states are visited.
     """
@@ -239,15 +240,16 @@ def explore(ts: TransitionSystem, max_states: int = 1_000_000) -> ExplorationRep
     slot = {cell: k for k, cell in enumerate(touched)}
     actions = [[(op, slot[c], d) for op, c, d in acts] for acts in ts.worker_actions]
     nworkers = len(actions)
-    lengths = tuple(len(a) for a in actions)
+    lengths = tuple(map(len, actions))
     ncells = len(touched)
-    y0, aux0 = nworkers, nworkers + ncells  # aux: lock bit per cell or temp per worker
-    naux = {"lock_per_cell": ncells, "none_split_rw": nworkers}.get(ts.sync_mode, 0)
+    ops = {op for acts in actions for op, _, _ in acts}
+    y0, lock0 = nworkers, nworkers + ncells
+    temp0 = lock0 + (0 if ops.isdisjoint((_ACQUIRE, _RELEASE)) else ncells)
 
     visited: set = set()
     terminals: set = set()
     deadlock = False
-    stack = [(0,) * (aux0 + naux)]
+    stack = [(0,) * (temp0 + (0 if ops.isdisjoint((_READ, _WRITE)) else nworkers))]
     while stack:
         state = stack.pop()
         seen = len(visited)
@@ -266,25 +268,25 @@ def explore(ts: TransitionSystem, max_states: int = 1_000_000) -> ExplorationRep
             if pc >= lengths[w]:
                 continue
             op, cell, delta = actions[w][pc]
-            if op == _ACQUIRE and state[aux0 + cell]:
+            if op == _ACQUIRE and state[lock0 + cell]:
                 continue  # blocked until the holder releases
             nxt = list(state)
             nxt[w] = pc + 1
             if op == _ADD:
                 nxt[y0 + cell] += delta
             elif op == _ACQUIRE:
-                nxt[aux0 + cell] = 1
+                nxt[lock0 + cell] = 1
             elif op == _RELEASE:
-                nxt[aux0 + cell] = 0
+                nxt[lock0 + cell] = 0
             elif op == _READ:
-                nxt[aux0 + w] = state[y0 + cell]
+                nxt[temp0 + w] = state[y0 + cell]
             else:  # _WRITE: stale read + delta, temp dies afterwards
-                nxt[y0 + cell] = state[aux0 + w] + delta
-                nxt[aux0 + w] = 0
+                nxt[y0 + cell] = state[temp0 + w] + delta
+                nxt[temp0 + w] = 0
             stack.append(tuple(nxt))
         if len(stack) == top:  # no action enabled: every worker ended, or a deadlock
             if state[:y0] == lengths:
-                terminals.add(state[y0:aux0])
+                terminals.add(state[y0:lock0])
             else:
                 deadlock = True
 

@@ -210,9 +210,9 @@ def _coo_candidates(value: CooCase) -> Iterator[CooCase]:
     for i, v in enumerate(x):
         if v != 0:
             yield x[:i] + [_halved(v)] + x[i + 1 :], m
-    if m.rows > 1 and max(m.row_idx, default=0) < m.rows - 1:
+    if m.rows > 1 and max(m.row_idx, default=0) < m.rows:
         yield x[:-1], coo_from_triplets(m.rows - 1, m.cols, trips)
-    if m.cols > 1 and max(m.col_idx, default=0) < m.cols - 1:
+    if m.cols > 1 and max(m.col_idx, default=0) < m.cols:
         yield list(x), coo_from_triplets(m.rows, m.cols - 1, trips)
 
 

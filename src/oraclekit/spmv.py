@@ -3,8 +3,8 @@
 A sparse matrix is three parallel arrays of row indices, column indices
 and nonzero values, strictly (row, column)-sorted: the COO format of
 Saad, *Iterative Methods for Sparse Linear Systems* (2nd ed., 2003,
-§3.4). Indices are 1-based at the construction and file boundary,
-0-based internally. Canonical files (single spaces and newlines) parse
+§3.4). Indices are 1-based, as the file gives them; products pad their
+vectors with slot 0. Canonical files (single spaces and newlines) parse
 through the stdlib JSON scanner, others token by token, with the same
 results and errors. Whole-array passes validate input; a per-triplet
 scan runs only to name the first invalid triplet. The product
@@ -108,7 +108,7 @@ def _fits64(values: Sequence[int]) -> bool:
 @dataclass(frozen=True)
 class CooMatrix:
     """Validated sparse matrix in three-array COO form (Saad §3.4): entry k
-    is ``vals[k]`` at 0-based row ``row_idx[k]`` and column ``col_idx[k]``."""
+    is ``vals[k]`` at 1-based row ``row_idx[k]`` and column ``col_idx[k]``."""
 
     rows: int
     cols: int
@@ -117,9 +117,8 @@ class CooMatrix:
     vals: tuple[int, ...]
 
     def to_triplets(self) -> list[tuple[int, int, int]]:
-        """Entries as (r, c, v) in the 1-based boundary convention."""
-        entries = zip(self.row_idx, self.col_idx, self.vals)
-        return [(r + 1, c + 1, v) for r, c, v in entries]
+        """Entries as 1-based (r, c, v) triplets, in order."""
+        return list(zip(self.row_idx, self.col_idx, self.vals))
 
 
 def coo_from_triplets(
@@ -148,8 +147,7 @@ def _coo(
         and 1 <= rs[0] and rs[-1] <= rows  # bounds every row once the order holds
     ):
         _reject_first_bad_triplet(rows, cols, zip(rs, cs, vs))
-    r0, c0 = tuple([r - 1 for r in rs]), tuple([c - 1 for c in cs])
-    return CooMatrix(rows, cols, r0, c0, tuple(vs))
+    return CooMatrix(rows, cols, tuple(rs), tuple(cs), tuple(vs))
 
 
 def _reject_first_bad_triplet(rows: int, cols: int, triplets: Iterable) -> NoReturn:
@@ -192,14 +190,15 @@ def to_dense(m: CooMatrix) -> tuple[tuple[int, ...], ...]:
     """Expand a sparse matrix to its explicit grid."""
     grid = [[0] * m.cols for _ in range(m.rows)]
     for r, c, v in zip(m.row_idx, m.col_idx, m.vals):
-        grid[r][c] = v
+        grid[r - 1][c - 1] = v
     return tuple(map(tuple, grid))
 
 
 def from_dense(d: Sequence[Sequence[int]]) -> CooMatrix:
-    """Collect nonzero cells of a grid; inverse of ``to_dense``."""
-    nonzeros = [(r, c, v) for r, row in enumerate(d) for c, v in enumerate(row) if v]
-    return CooMatrix(len(d), len(d[0]), *(tuple(zip(*nonzeros)) or ((), (), ())))
+    """Collect nonzero cells of a grid, with ``coo_from_triplets``'s checks;
+    inverse of ``to_dense``. The first row sets the width."""
+    nonzeros = [(r, c, v) for r, row in enumerate(d, 1) for c, v in enumerate(row, 1) if v]
+    return coo_from_triplets(len(d), len(d[0]), nonzeros)
 
 
 def multiply_seq(x: Sequence[int], m: CooMatrix) -> list[int]:
@@ -210,27 +209,28 @@ def multiply_seq(x: Sequence[int], m: CooMatrix) -> list[int]:
     """
     if len(x) != m.rows:
         raise DimensionError(f"vector length {len(x)} != matrix rows {m.rows}")
-    y = [0] * m.cols
-    accumulate(y, x, zip(m.row_idx, m.col_idx, m.vals))
+    y = [0] * (m.cols + 1)
+    accumulate(y, [0, *x], zip(m.row_idx, m.col_idx, m.vals))
+    del y[0]
     return y
 
 
 def accumulate(
     y: list[int], x: Sequence[int], triplets: Iterable[tuple[int, int, int]]
 ) -> None:
-    """Add ``x[r] * v`` into ``y[c]`` for each 0-based triplet, in order.
+    """Add ``x[r] * v`` into ``y[c]`` for each 1-based triplet, in order.
 
-    The product kernel shared by ``multiply_seq`` and every worker of
-    ``parallel.multiply_parallel``. Raises OverflowError when a product
-    or a running sum leaves the signed 64-bit range.
+    ``x`` and ``y`` carry an unused slot 0. The product kernel shared by
+    ``multiply_seq`` and every worker of ``parallel.multiply_parallel``.
+    Raises OverflowError when a product or a running sum leaves int64.
     """
     for r, c, v in triplets:
         p = x[r] * v
         if not INT64_MIN <= p <= INT64_MAX:
-            raise OverflowError(f"product at ({r + 1},{c + 1}) overflows 64 bits")
+            raise OverflowError(f"product at ({r},{c}) overflows 64 bits")
         t = y[c] + p
         if not INT64_MIN <= t <= INT64_MAX:
-            raise OverflowError(f"sum at column {c + 1} overflows 64 bits")
+            raise OverflowError(f"sum at column {c} overflows 64 bits")
         y[c] = t
 
 
@@ -278,9 +278,7 @@ def coo_from_text(text: str) -> CooMatrix:
         raise OrderError(
             f"expected {3 * nnz} integers after the header, found {len(numbers) - 3}"
         )
-    rs, cs, vs = numbers[3::3], numbers[4::3], numbers[5::3]
-    del numbers  # the flat list need not outlive the three slices
-    return _coo(rows, cols, rs, cs, vs)
+    return _coo(rows, cols, *(tuple(islice(numbers, k, None, 3)) for k in (3, 4, 5)))
 
 
 def coo_to_text(m: CooMatrix) -> str:

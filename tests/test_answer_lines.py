@@ -119,29 +119,55 @@ def test_answer_line_writes_hold_at_most_one_slice(tmp_path):
     assert [len(w.split()) for w in writes[:3]] == [S, S, 1]
 
 
-# Peak traced memory of one run_cli call over a 20,000-element permutation,
-# as a multiple of the loaded sequence (the list and its ints). Joining the
-# whole answer line at once measured 5.6x, 3.0x and 2.7x; slices, 4.0x,
-# 2.1x and 1.8x.
-PEAK_BOUNDS = [(("cartesian",), 4.7), (("ansv", "--dir", "left"), 2.5), (("sort", "--verify"), 2.2)]
-
-
-@pytest.mark.parametrize("argv, bound", PEAK_BOUNDS, ids=[a[0] for a, _ in PEAK_BOUNDS])
-def test_run_cli_peak_is_a_small_multiple_of_the_sequence(tmp_path, argv, bound):
+def sequence_input(tmp_path):
+    """A 20,000-element permutation's file, and how the CLI loads it."""
     f = write_seq(tmp_path, permutation(20_000))
+    return [f], lambda: cli._load_sequence(f)
+
+
+def matrix_input(tmp_path):
+    """A 1,000 x 1,000 matrix file of 20,000 triplets and its vector's file,
+    and how the CLI loads them. Values and most indices are past CPython's
+    shared small ints, so every parsed token is an int of its own."""
+    rng = random.Random(20_000)
+    cells = sorted(rng.sample(range(1_000_000), 20_000))
+    trips = [(k // 1000 + 1, k % 1000 + 1, rng.choice([-1, 1]) * rng.randint(1000, 10**9))
+             for k in cells]
+    mp = tmp_path / "m.coo"
+    mp.write_text(spmv.coo_to_text(spmv.coo_from_triplets(1000, 1000, trips)))
+    xf = write_seq(tmp_path, [rng.randint(1000, 10**6) for _ in range(1000)], "x.vec")
+    return [xf, str(mp)], lambda: (cli._load_sequence(xf), spmv.coo_from_text(mp.read_text()))
+
+
+# Peak traced memory of one run_cli call, as a multiple of its loaded input:
+# a 20,000-element permutation (the list and its ints), or for spmv the
+# vector and a 20,000-triplet matrix. Joining the whole answer line at once
+# measured 5.6x, 3.0x and 2.7x; slices, 4.0x, 2.1x and 1.8x. spmv measured
+# 1.83x while the matrix kept a 0-based copy of its indices, 1.47x without.
+PEAK_BOUNDS = [
+    (("cartesian",), sequence_input, 4.7),
+    (("ansv", "--dir", "left"), sequence_input, 2.5),
+    (("sort", "--verify"), sequence_input, 2.2),
+    (("spmv",), matrix_input, 1.65),
+]
+
+
+@pytest.mark.parametrize("argv, make_input, bound", PEAK_BOUNDS, ids=[a[0] for a, _, _ in PEAK_BOUNDS])
+def test_run_cli_peak_is_a_small_multiple_of_the_sequence(tmp_path, argv, make_input, bound):
+    files, load = make_input(tmp_path)
     tracemalloc.start()
     try:
-        s = cli._load_sequence(f)
+        s = load()
         loaded, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     del s
     with contextlib.redirect_stdout(io.StringIO()):
-        assert run_cli([*argv, f]) == 0  # imports and first-call costs are not the run's
+        assert run_cli([*argv, *files]) == 0  # imports and first-call costs are not the run's
     with contextlib.redirect_stdout(io.StringIO()):
         tracemalloc.start()
         try:
-            assert run_cli([*argv, f]) == 0
+            assert run_cli([*argv, *files]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -436,7 +436,7 @@ def test_check_reports_a_broken_coo_property(capsys, monkeypatch):
     def drop_last_triplet(x, m):
         y = [0] * m.cols
         for r, c, v in list(zip(m.row_idx, m.col_idx, m.vals))[:-1]:
-            y[c] += x[r] * v
+            y[c - 1] += x[r - 1] * v
         return y
 
     monkeypatch.setattr(spmv, "multiply_seq", drop_last_triplet)

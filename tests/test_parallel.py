@@ -129,6 +129,15 @@ def test_merge_checks_every_step_in_worker_order():
         multiply_parallel([1, 1, 1], m, AllocationPolicy.static_chunks(3))
     with pytest.raises(OverflowError, match=r"\bcolumn 1\b"):
         multiply_seq([1, 1, 1], m)
+    # Column 2 leaves int64 at worker 1's merge, column 1 only at worker 2's.
+    late = coo_from_triplets(3, 2, [(1, 1, 1), (1, 2, 2**62), (2, 1, 1), (2, 2, 2**62),
+                                    (3, 1, INT64_MAX), (3, 2, -(2**62))])
+    with pytest.raises(OverflowError, match=r"^column 2 merged sum 9223372036854775808 "):
+        multiply_parallel([1, 1, 1], late, AllocationPolicy.static_chunks(3))
+    # Both columns leave int64 at the same merge: column 1 is named.
+    both = coo_from_triplets(2, 2, [(1, 1, 2**62), (1, 2, 2**62), (2, 1, 2**62), (2, 2, 2**62)])
+    with pytest.raises(OverflowError, match=r"^column 1 merged sum "):
+        multiply_parallel([1, 1], both, AllocationPolicy.static_chunks(2))
 
 
 def test_model_action_shapes():
@@ -201,6 +210,18 @@ def test_single_worker_has_one_schedule():
     report = explore(build_model([1, 1], m, 1, "none_split_rw"))
     assert report.terminal_outputs == {(3,)}
     assert report.matches_sequential
+
+
+def test_explore_sizes_its_slots_from_the_opcodes():
+    # Split read/write actions under another mode's name explore as they do
+    # under none_split_rw, and lock actions as under lock_per_cell.
+    m = coo_from_triplets(2, 2, [(1, 1, 1), (1, 2, 3), (2, 1, 2)])
+    for mode in ("none_split_rw", "lock_per_cell"):
+        ts = build_model([1, 1], m, 2, mode)
+        want = explore(ts)
+        for other in SYNC_MODES:
+            relabelled = TransitionSystem(ts.worker_actions, ts.cols, other, ts.sequential_result)
+            assert explore(relabelled) == want
 
 
 def test_empty_model_terminates_at_zero():

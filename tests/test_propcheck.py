@@ -95,7 +95,7 @@ def test_shrink_sequence_identity_when_already_minimal():
 def test_shrink_coo_drops_and_halves():
     def fails(value):
         x, m = value
-        return 0 in m.col_idx
+        return 1 in m.col_idx
 
     cfg = GenConfig(seed=5, max_len=20)
     for i in range(50):
@@ -106,7 +106,7 @@ def test_shrink_coo_drops_and_halves():
         assert fails((sx, sm))
         assert len(sm.vals) == 1 and abs(sm.vals[0]) == 1
         assert sm.cols == 1  # unused trailing columns dropped
-        assert sm.rows == sm.row_idx[0] + 1  # rows above the entry dropped
+        assert sm.rows == sm.row_idx[0]  # rows above the entry dropped
         assert all(v == 0 for v in sx)
         break
     else:

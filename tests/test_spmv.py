@@ -80,7 +80,7 @@ def test_construction_validation():
 
 def test_constructors_agree_on_the_three_arrays():
     m = pinned_matrix()
-    assert (m.row_idx, m.col_idx, m.vals) == ((0, 1, 1, 3), (2, 0, 1, 1), (1, 5, 8, 3))
+    assert (m.row_idx, m.col_idx, m.vals) == ((1, 2, 2, 4), (3, 1, 2, 2), (1, 5, 8, 3))
     for same in (from_dense(to_dense(m)), coo_from_text(coo_to_text(m))):
         assert same == m and hash(same) == hash(m)
     empty = coo_from_triplets(2, 3, [])
@@ -110,6 +110,14 @@ def test_dense_validation():
         dense_from_rows([[1, 2], [3]])
     with pytest.raises(OverflowError):
         dense_from_rows([[INT64_MIN - 1]])
+
+
+def test_from_dense_applies_the_triplet_checks():
+    # The first row sets the width, so a longer later row stores a cell outside it.
+    with pytest.raises(BoundsError, match=r"^triplet \(2,2\) outside 1\.\.2 x 1\.\.1$"):
+        from_dense(((1,), (1, 2)))
+    with pytest.raises(OverflowError, match=r"^triplet value 18446744073709551616 "):
+        from_dense(((1, 2**64),))
 
 
 def test_text_round_trip():
@@ -201,7 +209,7 @@ def reference_coo_from_triplets(rows, cols, triplets):
         if prev is not None and (r, c) <= prev:
             raise OrderError(f"triplet ({r},{c}) not strictly after ({prev[0]},{prev[1]})")
         prev = (r, c)
-        entries.append((r - 1, c - 1, v))
+        entries.append((r, c, v))
     rs, cs, vs = tuple(zip(*entries)) or ((), (), ())
     return CooMatrix(rows, cols, rs, cs, vs)
 
