@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -170,13 +171,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"{name}  {properties.REGISTRY[name].summary}")
         return 0
     names = args.properties or list(properties.PROPERTY_NAMES)
-    cfg = GenConfig(
-        seed=args.seed,
-        max_len=args.max_len,
-        value_lo=args.value_lo,
-        value_hi=args.value_hi,
-        cases=args.cases,
-    )
+    cfg = GenConfig(**{f.name: getattr(args, f.name) for f in fields(GenConfig)})
     results = propcheck.run_suite(names, cfg)
     failed = 0
     for r in results:
@@ -246,11 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="property names (default: all)",
     )
     p.add_argument("--list", action="store_true", help="list properties and exit")
-    int_flag(p, "--seed", 1)
-    int_flag(p, "--cases", 100)
-    int_flag(p, "--max-len", 50)
-    int_flag(p, "--value-lo", -1000)
-    int_flag(p, "--value-hi", 1000)
+    for f in fields(GenConfig):
+        int_flag(p, "--" + f.name.replace("_", "-"), f.default)
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -54,7 +54,7 @@ _MAX_MODEL_TRIPLETS = 32  # largest triplet count ``build_model`` abstracts
 _POOL = ThreadPoolExecutor(MAX_WORKERS)
 
 # Action opcodes for the explorer.
-_ADD, _ACQUIRE, _RELEASE, _READ, _WRITE = range(5)
+_ADD, _ACQUIRE, _RELEASE, _READ, _WRITE = _OPCODES = range(5)
 
 # Each sync mode's update of one triplet's cell; _ADD and _WRITE carry its delta.
 _UPDATES = {
@@ -175,11 +175,9 @@ def multiply_parallel(
 
 @dataclass(frozen=True)
 class TransitionSystem:
-    """Per-worker atomic action sequences over a shared output vector."""
+    """Per-worker atomic ``(opcode, cell, delta)`` actions; cells index ``sequential_result``."""
 
     worker_actions: tuple[tuple[tuple[int, int, int], ...], ...]
-    cols: int
-    sync_mode: str
     sequential_result: tuple[int, ...]
 
 
@@ -210,7 +208,7 @@ def build_model(
             for op in _UPDATES[sync_mode]:
                 actions.append((op, c, delta if op in (_ADD, _WRITE) else 0))
         worker_actions.append(tuple(actions))
-    return TransitionSystem(tuple(worker_actions), m.cols, sync_mode, sequential)
+    return TransitionSystem(tuple(worker_actions), sequential)
 
 
 @dataclass(frozen=True)
@@ -227,22 +225,29 @@ def explore(ts: TransitionSystem, max_states: int = 1_000_000) -> ExplorationRep
     """Enumerate every interleaving of the model's atomic actions.
 
     Depth-first search with visited-state memoization over the K cells
-    some action touches, renumbered ``0..K-1``; the other columns stay 0
-    and are filled back into each terminal. A state is one flat tuple:
-    worker program counters ``[0:W]``, cells ``[W:W+K]``, then a lock bit
-    per cell and a temp per worker, each only if some opcode uses it. A
-    successor copies the state into a list, sets the one or two slots the
-    action changes and freezes it; each popped state is hashed once, by the
-    ``add`` to the visited set. Raises ModelTooLargeError with partial
+    some action touches, renumbered ``0..K-1``; the other columns of the
+    ``len(ts.sequential_result)``-wide output stay 0 and are filled back
+    into each terminal. A state is one flat tuple: worker program counters
+    ``[0:W]``, cells ``[W:W+K]``, then a lock bit per cell and a temp per
+    worker, each only if some opcode uses it. A successor copies the state
+    into a list, sets the one or two slots the action changes and freezes
+    it; each popped state is hashed once, by the ``add`` to the visited set.
+    Raises ConfigError, before the search, on a cell outside the output or
+    an opcode not among the five, and ModelTooLargeError with partial
     statistics when more than ``max_states`` states are visited.
     """
+    width = len(ts.sequential_result)
     touched = sorted({cell for acts in ts.worker_actions for _, cell, _ in acts})
+    ops = {op for acts in ts.worker_actions for op, _, _ in acts}
+    if touched and not 0 <= touched[0] <= touched[-1] < width:
+        raise ConfigError(f"model cells span {touched[0]}..{touched[-1]}, outside range({width})")
+    if not ops.issubset(_OPCODES):
+        raise ConfigError(f"model has unknown opcodes: {sorted(ops.difference(_OPCODES))}")
     slot = {cell: k for k, cell in enumerate(touched)}
     actions = [[(op, slot[c], d) for op, c, d in acts] for acts in ts.worker_actions]
     nworkers = len(actions)
     lengths = tuple(map(len, actions))
     ncells = len(touched)
-    ops = {op for acts in actions for op, _, _ in acts}
     y0, lock0 = nworkers, nworkers + ncells
     temp0 = lock0 + (0 if ops.isdisjoint((_ACQUIRE, _RELEASE)) else ncells)
 
@@ -291,7 +296,7 @@ def explore(ts: TransitionSystem, max_states: int = 1_000_000) -> ExplorationRep
                 deadlock = True
 
     # Terminals at full width: an untouched column reads the 0 past the cells.
-    pick = [slot.get(c, ncells) for c in range(ts.cols)]
+    pick = [slot.get(c, ncells) for c in range(width)]
     outputs = {tuple(map((*cells, 0).__getitem__, pick)) for cells in terminals}
     matches = (not deadlock) and outputs == {ts.sequential_result}
     return ExplorationReport(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import oraclekit
-from oraclekit import cartesian, cli, ghcsort, monotonic, parallel, spmv
+from oraclekit import cartesian, cli, ghcsort, monotonic, parallel, propcheck, spmv
 from oraclekit.cli import run_cli
+from oraclekit.propcheck import GenConfig
 from oraclekit.spmv import INT64_MAX, INT64_MIN
 
 PINNED_SEQ = "4 7 8 1 2 3 9 5 6\n"
@@ -236,6 +238,52 @@ def test_check_list(capsys):
     code, out, _ = run(capsys, "check", "--list")
     assert code == 0
     assert out == CHECK_LIST
+
+
+CHECK_HELP = (
+    "usage: oraclekit check [-h] [--list] [--seed SEED] [--cases CASES]\n"
+    "                       [--max-len MAX_LEN] [--value-lo VALUE_LO]\n"
+    "                       [--value-hi VALUE_HI]\n"
+    "                       [PROPERTY ...]\n"
+    "\n"
+    "positional arguments:\n"
+    "  PROPERTY             property names (default: all)\n"
+    "\n"
+    "options:\n"
+    "  -h, --help           show this help message and exit\n"
+    "  --list               list properties and exit\n"
+    "  --seed SEED\n"
+    "  --cases CASES\n"
+    "  --max-len MAX_LEN\n"
+    "  --value-lo VALUE_LO\n"
+    "  --value-hi VALUE_HI\n"
+)
+
+
+def test_check_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    assert run(capsys, "check", "--help") == (0, CHECK_HELP, "")
+
+
+def test_check_flags_are_the_genconfig_fields(capsys, monkeypatch):
+    seen = []
+
+    def run_suite(names, cfg):
+        seen.append((names, cfg))
+        return []
+
+    monkeypatch.setattr(propcheck, "run_suite", run_suite)
+    assert run(capsys, "check", "c1b.sorted") == (0, "total 0 passed, 0 failed\n", "")
+    assert seen.pop() == (["c1b.sorted"], GenConfig())
+    for flag, field, value in (
+        ("--seed", "seed", 7),
+        ("--cases", "cases", 3),
+        ("--max-len", "max_len", 9),
+        ("--value-lo", "value_lo", -5),
+        ("--value-hi", "value_hi", 5),
+    ):
+        assert run(capsys, "check", "c1b.sorted", flag, str(value))[0] == 0
+        assert seen.pop()[1] == dataclasses.replace(GenConfig(), **{field: value}), flag
 
 
 def test_input_errors_exit_2(tmp_path, capsys):

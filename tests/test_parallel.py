@@ -213,15 +213,49 @@ def test_single_worker_has_one_schedule():
 
 
 def test_explore_sizes_its_slots_from_the_opcodes():
-    # Split read/write actions under another mode's name explore as they do
-    # under none_split_rw, and lock actions as under lock_per_cell.
+    # Lock bits and temps exist only where an opcode needs them, in both
+    # explorers; a wrongly sized slot would raise IndexError or split states.
     m = coo_from_triplets(2, 2, [(1, 1, 1), (1, 2, 3), (2, 1, 2)])
-    for mode in ("none_split_rw", "lock_per_cell"):
+    for mode in SYNC_MODES:
         ts = build_model([1, 1], m, 2, mode)
-        want = explore(ts)
-        for other in SYNC_MODES:
-            relabelled = TransitionSystem(ts.worker_actions, ts.cols, other, ts.sequential_result)
-            assert explore(relabelled) == want
+        assert explore(ts) == _nested_explore(ts), mode
+    mixed = TransitionSystem(
+        worker_actions=(
+            ((_ACQUIRE, 0, 0), (_ADD, 0, 1), (_RELEASE, 0, 0)),
+            ((_READ, 1, 0), (_WRITE, 1, 2)),
+            ((_ADD, 1, 4),),
+        ),
+        sequential_result=(1, 6),
+    )
+    report = explore(mixed)
+    assert report == _nested_explore(mixed)
+    assert report.terminal_outputs == {(1, 2), (1, 6)}  # the write may lose the add
+    assert not report.deadlock_found and not report.matches_sequential
+
+
+def test_explore_fills_back_untouched_columns():
+    ts = TransitionSystem(worker_actions=(((_ADD, 2, 5),),), sequential_result=(0, 0, 5))
+    report = explore(ts)
+    assert report == _nested_explore(ts)
+    assert report.terminal_outputs == {(0, 0, 5)}
+    assert report.states_visited == 2
+    assert report.matches_sequential and not report.deadlock_found
+
+
+@pytest.mark.parametrize("cell", [5, 1, -1])
+def test_explore_refuses_cells_outside_the_result(cell):
+    # A one-column result has only cell 0; any other cell's add would be lost.
+    for workers in ((((_ADD, cell, 1),),), (((_ADD, 0, 1),), ((_ADD, cell, 1),))):
+        ts = TransitionSystem(workers, (0,))
+        with pytest.raises(ConfigError, match=r"outside range\(1\)"):
+            explore(ts, max_states=0)  # refused before the first state
+
+
+def test_explore_refuses_unknown_opcodes():
+    for workers in ((((7, 0, 1),),), (((7, 0, 1),), ((_READ, 0, 0),)), (((-1, 0, 0),),)):
+        ts = TransitionSystem(workers, (1,))
+        with pytest.raises(ConfigError, match="unknown opcodes"):
+            explore(ts, max_states=0)  # refused before the first state
 
 
 def test_empty_model_terminates_at_zero():
@@ -244,8 +278,6 @@ def test_explorer_detects_deadlock():
     # never release it, so whichever goes first strands the other.
     ts = TransitionSystem(
         worker_actions=(((_ACQUIRE, 0, 0),), ((_ACQUIRE, 0, 0),)),
-        cols=1,
-        sync_mode="lock_per_cell",
         sequential_result=(0,),
     )
     report = explore(ts)
@@ -256,18 +288,21 @@ def test_explorer_detects_deadlock():
 
 
 def _nested_explore(ts, max_states=1_000_000):
-    """Reference explorer: a state is four tuples (pcs, cells, lock bits,
-    temps) rebuilt by slicing. The flat-tuple ``explore`` must give equal
-    reports, and hit the cap at the same state, on every model."""
+    """Reference explorer: a state is four tuples (pcs, every column,
+    a lock bit per column, temps) rebuilt by slicing; locks and temps exist
+    only if some opcode uses them. The flat-tuple ``explore`` must give
+    equal reports, and hit the cap at the same state, on every model."""
     actions = ts.worker_actions
     nworkers = len(actions)
     lengths = tuple(len(a) for a in actions)
-    use_locks = ts.sync_mode == "lock_per_cell"
-    use_temps = ts.sync_mode == "none_split_rw"
+    ops = {op for acts in actions for op, _, _ in acts}
+    use_locks = not ops.isdisjoint((_ACQUIRE, _RELEASE))
+    use_temps = not ops.isdisjoint((_READ, _WRITE))
+    width = len(ts.sequential_result)
 
     init_pcs = (0,) * nworkers
-    init_y = (0,) * ts.cols
-    init_locks = (0,) * ts.cols if use_locks else ()
+    init_y = (0,) * width
+    init_locks = (0,) * width if use_locks else ()
     init_temps = (0,) * nworkers if use_temps else ()
     init = (init_pcs, init_y, init_locks, init_temps)
 

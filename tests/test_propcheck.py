@@ -1,6 +1,6 @@
 import pytest
 
-from oraclekit import ansv, ghcsort
+from oraclekit import ansv, ghcsort, properties
 from oraclekit.errors import ConfigError
 from oraclekit.propcheck import (
     CaseRng,
@@ -114,11 +114,8 @@ def test_shrink_coo_drops_and_halves():
 
 
 def test_run_suite_rejects_unknown_names():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown properties: no.such.prop"):
         run_suite(["c1a.nonempty", "no.such.prop"], GenConfig())
-    registry = {"toy.odd": Property("toy.odd", "matrix", lambda _v: None, "bad kind")}
-    with pytest.raises(ConfigError, match="properties of unknown kind: toy.odd"):
-        run_suite(["toy.odd"], GenConfig(), registry=registry)
 
 
 def test_run_suite_pass_counts():
@@ -129,7 +126,7 @@ def test_run_suite_pass_counts():
     assert all(r.counterexample is None for r in results)
 
 
-def test_run_suite_shrinks_failures():
+def test_run_suite_shrinks_failures(use_registry):
     registry = {
         "toy.no_big": Property(
             "toy.no_big",
@@ -144,11 +141,9 @@ def test_run_suite_shrinks_failures():
             "synthetic fixed failure",
         ),
     }
+    use_registry(registry)
     cfg = GenConfig(seed=1, cases=300)
-    results = {
-        r.name: r
-        for r in run_suite(["toy.no_big", "toy.fixed_bad"], cfg, registry=registry)
-    }
+    results = {r.name: r for r in run_suite(["toy.no_big", "toy.fixed_bad"], cfg)}
     bad = results["toy.no_big"]
     assert bad.status == "fail"
     assert bad.counterexample is not None
@@ -210,14 +205,12 @@ def test_gen_coo_stream_is_pinned():
 # --- differential pin: the one case loop against the three-phase harness ---
 
 
-def _reference_run_suite(names, cfg, registry=None):
+def _reference_run_suite(names, cfg):
     """The harness before the single case loop: fixed properties first,
     then one phase per generated kind, then one pass assembling results
     from two dicts. ``run_suite`` must return equal results and make the
     same checks in the same order."""
-    from oraclekit.properties import REGISTRY
-
-    reg = registry if registry is not None else REGISTRY
+    reg = properties.REGISTRY
     names = list(dict.fromkeys(names))
     unknown = [n for n in names if n not in reg]
     if unknown:
@@ -270,9 +263,9 @@ def _reference_run_suite(names, cfg, registry=None):
     return results
 
 
-def _assert_same_as_reference(names, cfg, registry=None):
-    got = run_suite(names, cfg, registry=registry)
-    assert got == _reference_run_suite(names, cfg, registry=registry)
+def _assert_same_as_reference(names, cfg):
+    got = run_suite(names, cfg)
+    assert got == _reference_run_suite(names, cfg)
     return got
 
 
@@ -322,11 +315,13 @@ def _logging_registry(log):
     ],
 )
 @pytest.mark.parametrize("cases", [0, 1, 60])
-def test_run_suite_matches_reference_on_toy_registries(names, cases):
+def test_run_suite_matches_reference_on_toy_registries(use_registry, names, cases):
     new_log, ref_log = [], []
     cfg = GenConfig(seed=4, cases=cases, max_len=20)
-    got = run_suite(names, cfg, registry=_logging_registry(new_log))
-    want = _reference_run_suite(names, cfg, registry=_logging_registry(ref_log))
+    use_registry(_logging_registry(new_log))
+    got = run_suite(names, cfg)
+    use_registry(_logging_registry(ref_log))
+    want = _reference_run_suite(names, cfg)
     assert got == want
     assert new_log == ref_log  # same checks, shrink steps included, same order
     if cases == 60 and "toy.big" in names:

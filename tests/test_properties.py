@@ -256,13 +256,14 @@ def _family_names(family):
 
 @pytest.mark.parametrize("mutant", MUTANTS)
 @pytest.mark.parametrize("seed", (1, 2, 3))
-def test_shared_runners_match_the_reference(monkeypatch, mutant, seed):
+def test_shared_runners_match_the_reference(monkeypatch, use_registry, mutant, seed):
     if MUTANTS[mutant] is not None:
         monkeypatch.setattr(*MUTANTS[mutant])
     cfg = GenConfig(seed=seed, cases=300, max_len=200)
+    shared = {family: run_suite(_family_names(family), cfg) for family in FAMILIES}
+    use_registry(REFERENCE)
     for family in FAMILIES:
-        names = _family_names(family)
-        assert run_suite(names, cfg) == run_suite(names, cfg, REFERENCE), family
+        assert run_suite(_family_names(family), cfg) == shared[family], family
 
 
 @pytest.mark.parametrize(
