@@ -1,16 +1,15 @@
 """All nearest smaller values, both directions, via one stack pass.
 
 For each index the *left neighbor* is the closest preceding index
-holding a strictly smaller value (the *right neighbor* is the mirror
-notion). The single-pass algorithm keeps a stack of candidate indices:
-for each index x it pops every stacked index y with ``s[y] >= s[x]``;
-the surviving top, if any, is x's neighbor and is only inspected, never
+holding a strictly smaller value, so a tie never counts. The *right
+neighbor* is its mirror image, ties included: the right answer for s is
+the left answer for ``s[::-1]`` with each index y read as n-1-y. The
+single-pass algorithm keeps a stack of candidate indices: for each index
+x it pops every stacked index y with ``s[y] >= s[x]``, ties too; the
+surviving top, if any, is x's neighbor and is only inspected, never
 popped. Popping it is a classic off-by-one trap that silently corrupts
 later answers, since the survivor must stay available for the indices
 after x. x is then pushed.
-
-Equal values are popped by the ``>=`` test, so ties never count as
-neighbors; the reported neighbor always holds a strictly smaller value.
 """
 
 from __future__ import annotations
@@ -77,36 +76,34 @@ def right_neighbors(s: Sequence[int], tally: Optional[Tally] = None) -> Neighbor
     return NeighborArray(tuple(out), "right")
 
 
+def _mirrored(nb: Sequence[Optional[int]]) -> tuple[Optional[int], ...]:
+    """The answer for ``s[::-1]`` from ``nb`` for s: entry i is n-1-y for entry n-1-i's y."""
+    m = len(nb) - 1
+    return tuple(None if y is None else m - y for y in reversed(nb))
+
+
 def oracle_neighbors(s: Sequence[int], direction: str) -> NeighborArray:
     """Reference answer by direct quadratic search from the definition.
 
     left: neighbors[i] = max{ y < i : s[y] < s[i] } or absent;
-    right: neighbors[i] = min{ y > i : s[y] < s[i] } or absent.
+    right: the ``_mirrored`` left answer of ``s[::-1]``, min{ y > i : s[y] < s[i] }.
     """
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    n = len(s)
-    out: list[Optional[int]] = [None] * n
-    if direction == "left":
-        for i in range(n):
-            vi = s[i]
-            for y in range(i - 1, -1, -1):
-                if s[y] < vi:
-                    out[i] = y
-                    break
-    else:
-        for i in range(n):
-            vi = s[i]
-            for y in range(i + 1, n):
-                if s[y] < vi:
-                    out[i] = y
-                    break
-    return NeighborArray(tuple(out), direction)
+    if direction == "right":
+        s = s[::-1]
+    out: list[Optional[int]] = [None] * len(s)
+    for i, vi in enumerate(s):
+        for y in range(i - 1, -1, -1):
+            if s[y] < vi:
+                out[i] = y
+                break
+    return NeighborArray(tuple(out) if direction == "left" else _mirrored(out), direction)
 
 
 @dataclass(frozen=True)
 class AnsvReport(FlagReport):
-    """Outcome of the three left-neighbor checks."""
+    """Outcome of the three neighbor checks."""
 
     index_ok: bool
     value_ok: bool
@@ -114,14 +111,15 @@ class AnsvReport(FlagReport):
 
 
 def check_ansv(s: Sequence[int], a: NeighborArray) -> AnsvReport:
-    """Evaluate the three neighbor properties of a left-direction array.
+    """Evaluate the three neighbor properties of a left or right array.
 
-    index_ok: every present neighbor is a valid index before its owner.
+    index_ok: every present neighbor is a valid index on its owner's side.
     value_ok: every present neighbor holds a strictly smaller value.
     smallest_ok: no index between the neighbor (exclusive) and the owner
-    holds a smaller value. A right array, a wrong length or an entry that is
-    neither None nor an ``int`` (``instrument.is_index``'s rule) fails all
-    three flags; an out-of-range ``int`` fails only the flags it breaks.
+    holds a smaller value. Another direction, a wrong length or an entry
+    that is neither None nor an ``int`` (``instrument.is_index``'s rule)
+    fails all three flags; an out-of-range ``int`` fails only the flags it
+    breaks. A right array is then checked as ``_mirrored`` on ``s[::-1]``.
 
     smallest_ok walks from ``i - 1`` down to the neighbor (or to the start
     when it is absent or negative), jumping from j to ``nb[j]`` whenever
@@ -133,10 +131,12 @@ def check_ansv(s: Sequence[int], a: NeighborArray) -> AnsvReport:
     """
     n = len(s)
     nb = a.neighbors
-    if a.direction != "left" or len(nb) != n or not all(
+    if a.direction not in ("left", "right") or len(nb) != n or not all(
         map(isinstance, nb, repeat((int, type(None))))
     ):
         return AnsvReport(index_ok=False, value_ok=False, smallest_ok=False)
+    if a.direction == "right":
+        s, nb = s[::-1], _mirrored(nb)
 
     index_ok = value_ok = smallest_ok = True
     for i, y in enumerate(nb):

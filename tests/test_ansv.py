@@ -59,12 +59,26 @@ def test_oracle_directions():
         oracle_neighbors([1], "up")
 
 
+def _reference_right_neighbors(s):
+    """The direct right scan, min{ y > i : s[y] < s[i] }, kept as the reference."""
+    n = len(s)
+    out = [None] * n
+    for i in range(n):
+        vi = s[i]
+        for y in range(i + 1, n):
+            if s[y] < vi:
+                out[i] = y
+                break
+    return tuple(out)
+
+
 def test_matches_oracle_exhaustively_small():
     for n in range(7):
         for seq in product((0, 1, 2, 3), repeat=n):
             s = list(seq)
             assert left_neighbors(s).neighbors == oracle_neighbors(s, "left").neighbors, s
             assert right_neighbors(s).neighbors == oracle_neighbors(s, "right").neighbors, s
+            assert oracle_neighbors(s, "right").neighbors == _reference_right_neighbors(s), s
 
 
 @settings(max_examples=300)
@@ -75,10 +89,11 @@ def test_matches_oracle_random(s):
 
 
 @settings(max_examples=200)
-@given(st.lists(st.integers(-1000, 1000), unique=True, max_size=60))
-def test_mirror_law_on_distinct_values(s):
+@given(st.lists(st.integers(-5, 5), max_size=60))
+def test_mirror_law_holds_with_ties(s):
     # Right neighbors are the reflected left neighbors of the reversed
-    # sequence; only guaranteed when all values are distinct.
+    # sequence. Both sides compare with a strict <, so ties mirror too;
+    # the narrow value range makes ties common.
     n = len(s)
     mirrored = left_neighbors(s[::-1]).neighbors
     expected = tuple(
@@ -112,8 +127,10 @@ def test_check_flags_each_defect():
     assert check_ansv(s, good).all_ok()
 
 
-def test_check_rejects_right_direction():
-    r = check_ansv([1, 2], right_neighbors([1, 2]))
+def test_check_accepts_right_arrays():
+    assert check_ansv(PINNED_SEQ, right_neighbors(PINNED_SEQ)).all_ok()
+    assert check_ansv([1, 2], right_neighbors([1, 2])).all_ok()
+    r = check_ansv([1, 2], ansv.NeighborArray((None, None), "up"))
     assert (r.index_ok, r.value_ok, r.smallest_ok) == (False, False, False)
 
 
@@ -123,6 +140,8 @@ def _reference_check_ansv(s, a):
     nb = a.neighbors
     if len(nb) != n:
         return ansv.AnsvReport(index_ok=False, value_ok=False, smallest_ok=False)
+    if a.direction == "right":
+        return _reference_check_right(s, nb)
 
     index_ok = True
     for i in range(n):
@@ -153,12 +172,46 @@ def _reference_check_ansv(s, a):
     return ansv.AnsvReport(index_ok, value_ok, smallest_ok)
 
 
+def _reference_check_right(s, nb):
+    """The right side written out directly, not through the mirror."""
+    n = len(s)
+    index_ok = True
+    for i in range(n):
+        y = nb[i]
+        if y is not None and not i < y < n:
+            index_ok = False
+            break
+
+    value_ok = True
+    for i in range(n):
+        y = nb[i]
+        if y is not None and not (0 <= y < n and s[y] < s[i]):
+            value_ok = False
+            break
+
+    smallest_ok = True
+    for i in range(n):
+        y = nb[i]
+        stop = n if y is None else min(y, n)
+        vi = s[i]
+        for j in range(i + 1, stop):
+            if s[j] < vi:
+                smallest_ok = False
+                break
+        if not smallest_ok:
+            break
+
+    return ansv.AnsvReport(index_ok, value_ok, smallest_ok)
+
+
 def test_check_matches_reference_exhaustively_small():
-    # Every s in {0,1,2}^n against every neighbor tuple over None, -2..n.
+    # Every s in {0,1,2}^n against every neighbor tuple over None, -2..n,
+    # read as a left and as a right array.
     for n in range(5):
         arrays = [
-            ansv.NeighborArray(nb, "left")
+            ansv.NeighborArray(nb, direction)
             for nb in product((None, *range(-2, n + 1)), repeat=n)
+            for direction in ("left", "right")
         ]
         for seq in product((0, 1, 2), repeat=n):
             s = list(seq)
@@ -181,11 +234,13 @@ def test_check_clamps_out_of_range_neighbors():
 
 
 def test_check_is_linear_on_decreasing_input():
-    # A direct gap scan takes about 9 s here; the chain walk is O(n).
-    s = list(range(20_000, 0, -1))
-    a = left_neighbors(s)
-    t0 = time.perf_counter()
-    report = check_ansv(s, a)
-    elapsed = time.perf_counter() - t0
-    assert report.all_ok()
-    assert elapsed < 1.0, elapsed
+    # A direct gap scan takes about 9 s here; the chain walk is O(n). The
+    # right case is its mirror: increasing input.
+    decreasing = list(range(20_000, 0, -1))
+    for s, solve in ((decreasing, left_neighbors), (decreasing[::-1], right_neighbors)):
+        a = solve(s)
+        t0 = time.perf_counter()
+        report = check_ansv(s, a)
+        elapsed = time.perf_counter() - t0
+        assert report.all_ok(), a.direction
+        assert elapsed < 1.0, (a.direction, elapsed)

@@ -48,11 +48,13 @@ def test_first_violation_is_not_a_flag():
     assert not report.all_ok()
 
 
-# Each checker's correct answer for S, by the field that holds it.
+# Each checker's correct answer for S, by the field that holds it;
+# "right_neighbors" is the ``neighbors`` field of a right array.
 S = [2, 1, 3]
 GOOD = {
     "cut": (0, 2, 3),
     "neighbors": (None, None, 1),
+    "right_neighbors": (1, None, None),
     "parent": (1, None, 1),
     "left_child": (None, 0, None),
     "right_child": (None, 2, None),
@@ -68,6 +70,8 @@ def _check(field, answer):
         return CutReport, check_cutpoints(S, list(answer))
     if field == "neighbors":
         return AnsvReport, check_ansv(S, NeighborArray(answer, "left"))
+    if field == "right_neighbors":
+        return AnsvReport, check_ansv(S, NeighborArray(answer, "right"))
     tree = {f: GOOD[f] for f in ("parent", "left_child", "right_child", "root")}
     return TreeReport, check_tree(S, CartesianTree(**{**tree, field: answer}))
 

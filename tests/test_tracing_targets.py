@@ -87,3 +87,23 @@ def test_every_property_check_can_be_swapped_for_a_traced_wrapper():
     assert traced == plain
     names = {span[0] for span in tracer.spans}
     assert names >= {f"properties.{key}" for key in REGISTRY}
+
+
+def test_right_side_calls_record_one_span_each():
+    """The right side runs the left definition on ``s[::-1]`` without calling
+    back through the traced public names, so each call is one span."""
+    from oraclekit import ansv
+
+    s = [4, 7, 8, 1, 2, 3, 9, 5, 6]
+    tracer = _tracing_module().Tracer()
+    tracer.install(oraclekit)
+    try:
+        right = ansv.oracle_neighbors(s, "right")
+        report = ansv.check_ansv(s, right)
+    finally:
+        tracer.uninstall(oraclekit)
+    assert right.neighbors == (3, 3, 3, None, None, None, 7, None, None)
+    assert report.all_ok()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("ansv.oracle_neighbors") == 1
+    assert names.count("ansv.check_ansv") == 1
