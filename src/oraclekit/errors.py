@@ -47,7 +47,9 @@ class ConfigError(OracleKitError):
 class ModelTooLargeError(OracleKitError):
     """State-space exploration exceeded its cap.
 
-    Carries the partial statistics gathered before the cap was hit.
+    From ``explore``: ``states_visited`` is the cap plus one, and
+    ``terminal_outputs_seen`` counts distinct terminal outputs processed before
+    it in layer order, so it is 0 unless the cap falls in the last layer.
     """
 
     def __init__(self, message, states_visited=0, terminal_outputs_seen=0):

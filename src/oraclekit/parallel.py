@@ -224,17 +224,18 @@ class ExplorationReport:
 def explore(ts: TransitionSystem, max_states: int = 1_000_000) -> ExplorationReport:
     """Enumerate every interleaving of the model's atomic actions.
 
-    Depth-first search with visited-state memoization over the K cells
-    some action touches, renumbered ``0..K-1``; the other columns of the
+    Breadth-first search, one layer at a time, over the K cells some
+    action touches, renumbered ``0..K-1``; the other columns of the
     ``len(ts.sequential_result)``-wide output stay 0 and are filled back
     into each terminal. A state is one flat tuple: worker program counters
     ``[0:W]``, cells ``[W:W+K]``, then a lock bit per cell and a temp per
-    worker, each only if some opcode uses it. A successor copies the state
-    into a list, sets the one or two slots the action changes and freezes
-    it; each popped state is hashed once, by the ``add`` to the visited set.
+    worker, each only if some opcode uses it. A state's depth is the sum of
+    its counters, so no state is in two layers and only a layer and its
+    successors are alive; each successor is hashed once, by the ``add`` to
+    the next layer, and every terminal is in the last layer.
     Raises ConfigError, before the search, on a cell outside the output or
     an opcode not among the five, and ModelTooLargeError with partial
-    statistics when more than ``max_states`` states are visited.
+    statistics at the ``max_states + 1``-th state, counted in layer order.
     """
     width = len(ts.sequential_result)
     touched = sorted({cell for acts in ts.worker_actions for _, cell, _ in acts})
@@ -244,63 +245,69 @@ def explore(ts: TransitionSystem, max_states: int = 1_000_000) -> ExplorationRep
     if not ops.issubset(_OPCODES):
         raise ConfigError(f"model has unknown opcodes: {sorted(ops.difference(_OPCODES))}")
     slot = {cell: k for k, cell in enumerate(touched)}
-    actions = [[(op, slot[c], d) for op, c, d in acts] for acts in ts.worker_actions]
-    nworkers = len(actions)
-    lengths = tuple(map(len, actions))
-    ncells = len(touched)
+    nworkers, ncells = len(ts.worker_actions), len(touched)
+    lengths = tuple(map(len, ts.worker_actions))
     y0, lock0 = nworkers, nworkers + ncells
     temp0 = lock0 + (0 if ops.isdisjoint((_ACQUIRE, _RELEASE)) else ncells)
+    # One move per worker and pc: (opcode, state slot, delta, temp slot), None past
+    # the end. By opcode, the state slot is the cell's lock bit or the cell itself.
+    base = (y0, lock0, lock0, y0, y0)
+    moves = [
+        [(op, base[op] + slot[c], d, t) for op, c, d in acts] + [None]
+        for t, acts in enumerate(ts.worker_actions, temp0)
+    ]
 
-    visited: set = set()
+    visited = 0
     terminals: set = set()
     deadlock = False
-    stack = [(0,) * (temp0 + (0 if ops.isdisjoint((_READ, _WRITE)) else nworkers))]
-    while stack:
-        state = stack.pop()
-        seen = len(visited)
-        visited.add(state)
-        if len(visited) == seen:
-            continue
-        if len(visited) > max_states:
-            raise ModelTooLargeError(
-                f"exploration exceeded {max_states} states",
-                states_visited=len(visited),
-                terminal_outputs_seen=len(terminals),
-            )
-        top = len(stack)
-        for w in range(nworkers):
-            pc = state[w]
-            if pc >= lengths[w]:
-                continue
-            op, cell, delta = actions[w][pc]
-            if op == _ACQUIRE and state[lock0 + cell]:
-                continue  # blocked until the holder releases
-            nxt = list(state)
-            nxt[w] = pc + 1
-            if op == _ADD:
-                nxt[y0 + cell] += delta
-            elif op == _ACQUIRE:
-                nxt[lock0 + cell] = 1
-            elif op == _RELEASE:
-                nxt[lock0 + cell] = 0
-            elif op == _READ:
-                nxt[temp0 + w] = state[y0 + cell]
-            else:  # _WRITE: stale read + delta, temp dies afterwards
-                nxt[y0 + cell] = state[temp0 + w] + delta
-                nxt[temp0 + w] = 0
-            stack.append(tuple(nxt))
-        if len(stack) == top:  # no action enabled: every worker ended, or a deadlock
-            if state[:y0] == lengths:
-                terminals.add(state[y0:lock0])
-            else:
-                deadlock = True
+    layer = {(0,) * (temp0 + (0 if ops.isdisjoint((_READ, _WRITE)) else nworkers))}
+    while layer:
+        successors: set = set()
+        add = successors.add
+        for state in layer:
+            visited += 1
+            if visited > max_states:
+                raise ModelTooLargeError(
+                    f"exploration exceeded {max_states} states",
+                    states_visited=visited,
+                    terminal_outputs_seen=len(terminals),
+                )
+            stuck = True
+            for w in range(nworkers):
+                move = moves[w][state[w]]
+                if move is None:
+                    continue
+                op, s, delta, t = move
+                if op == _ACQUIRE and state[s]:
+                    continue  # blocked until the holder releases
+                nxt = list(state)
+                nxt[w] += 1
+                if op == _ADD:
+                    nxt[s] += delta
+                elif op == _ACQUIRE:
+                    nxt[s] = 1
+                elif op == _RELEASE:
+                    nxt[s] = 0
+                elif op == _READ:
+                    nxt[t] = state[s]
+                else:  # _WRITE: stale read + delta, temp dies afterwards
+                    nxt[s] = state[t] + delta
+                    nxt[t] = 0
+                add(tuple(nxt))
+                stuck = False
+            if stuck:  # no action enabled: every worker ended, or a deadlock
+                if state[:y0] == lengths:
+                    terminals.add(state[y0:lock0])
+                else:
+                    deadlock = True
+        layer = successors
 
     # Terminals at full width: an untouched column reads the 0 past the cells.
     pick = [slot.get(c, ncells) for c in range(width)]
     outputs = {tuple(map((*cells, 0).__getitem__, pick)) for cells in terminals}
     matches = (not deadlock) and outputs == {ts.sequential_result}
     return ExplorationReport(
-        states_visited=len(visited),
+        states_visited=visited,
         terminal_outputs=frozenset(outputs),
         deadlock_found=deadlock,
         matches_sequential=matches,

@@ -287,11 +287,39 @@ def test_explorer_detects_deadlock():
     assert report == _nested_explore(ts)
 
 
+def test_lock_order_inversion_deadlocks_and_terminates():
+    # Each worker takes both locks in the opposite order: whoever holds one
+    # lock while the other holds the second strands both, yet the schedules
+    # where one worker takes both first run to the true sums.
+    ts = TransitionSystem(
+        worker_actions=(
+            ((_ACQUIRE, 0, 0), (_ACQUIRE, 1, 0), (_ADD, 0, 1), (_ADD, 1, 1),
+             (_RELEASE, 1, 0), (_RELEASE, 0, 0)),
+            ((_ACQUIRE, 1, 0), (_ACQUIRE, 0, 0), (_ADD, 1, 2), (_ADD, 0, 2),
+             (_RELEASE, 0, 0), (_RELEASE, 1, 0)),
+        ),
+        sequential_result=(3, 3),
+    )
+    report = explore(ts)
+    assert report == ExplorationReport(
+        states_visited=27,
+        terminal_outputs=frozenset({(3, 3)}),
+        deadlock_found=True,
+        matches_sequential=False,
+    )
+    assert report == _nested_explore(ts)
+    # The one terminal is the last state processed, so cap 26 sees none.
+    with pytest.raises(ModelTooLargeError) as exc:
+        explore(ts, max_states=26)
+    assert (exc.value.states_visited, exc.value.terminal_outputs_seen) == (27, 0)
+
+
 def _nested_explore(ts, max_states=1_000_000):
     """Reference explorer: a state is four tuples (pcs, every column,
     a lock bit per column, temps) rebuilt by slicing; locks and temps exist
-    only if some opcode uses them. The flat-tuple ``explore`` must give
-    equal reports, and hit the cap at the same state, on every model."""
+    only if some opcode uses them. It too searches one layer at a time, so
+    the flat-tuple ``explore`` must give equal reports, and hit the cap with
+    equal partial statistics, on every model."""
     actions = ts.worker_actions
     nworkers = len(actions)
     lengths = tuple(len(a) for a in actions)
@@ -306,55 +334,55 @@ def _nested_explore(ts, max_states=1_000_000):
     init_temps = (0,) * nworkers if use_temps else ()
     init = (init_pcs, init_y, init_locks, init_temps)
 
-    visited = set()
+    visited = 0
     terminals = set()
     deadlock = False
-    stack = [init]
-    while stack:
-        state = stack.pop()
-        if state in visited:
-            continue
-        visited.add(state)
-        if len(visited) > max_states:
-            raise ModelTooLargeError(
-                f"exploration exceeded {max_states} states",
-                states_visited=len(visited),
-                terminal_outputs_seen=len(terminals),
-            )
-        pcs, y, locks, temps = state
-        done = True
-        enabled_any = False
-        for w in range(nworkers):
-            pc = pcs[w]
-            if pc >= lengths[w]:
-                continue
-            done = False
-            op, cell, delta = actions[w][pc]
-            if op == _ACQUIRE and locks[cell]:
-                continue
-            enabled_any = True
-            new_pcs = pcs[:w] + (pc + 1,) + pcs[w + 1 :]
-            new_y, new_locks, new_temps = y, locks, temps
-            if op == _ADD:
-                new_y = y[:cell] + (y[cell] + delta,) + y[cell + 1 :]
-            elif op == _ACQUIRE:
-                new_locks = locks[:cell] + (1,) + locks[cell + 1 :]
-            elif op == _RELEASE:
-                new_locks = locks[:cell] + (0,) + locks[cell + 1 :]
-            elif op == _READ:
-                new_temps = temps[:w] + (y[cell],) + temps[w + 1 :]
-            else:
-                new_y = y[:cell] + (temps[w] + delta,) + y[cell + 1 :]
-                new_temps = temps[:w] + (0,) + temps[w + 1 :]
-            stack.append((new_pcs, new_y, new_locks, new_temps))
-        if done:
-            terminals.add(y)
-        elif not enabled_any:
-            deadlock = True
+    layer = {init}
+    while layer:
+        successors = set()
+        for state in layer:
+            visited += 1
+            if visited > max_states:
+                raise ModelTooLargeError(
+                    f"exploration exceeded {max_states} states",
+                    states_visited=visited,
+                    terminal_outputs_seen=len(terminals),
+                )
+            pcs, y, locks, temps = state
+            done = True
+            enabled_any = False
+            for w in range(nworkers):
+                pc = pcs[w]
+                if pc >= lengths[w]:
+                    continue
+                done = False
+                op, cell, delta = actions[w][pc]
+                if op == _ACQUIRE and locks[cell]:
+                    continue
+                enabled_any = True
+                new_pcs = pcs[:w] + (pc + 1,) + pcs[w + 1 :]
+                new_y, new_locks, new_temps = y, locks, temps
+                if op == _ADD:
+                    new_y = y[:cell] + (y[cell] + delta,) + y[cell + 1 :]
+                elif op == _ACQUIRE:
+                    new_locks = locks[:cell] + (1,) + locks[cell + 1 :]
+                elif op == _RELEASE:
+                    new_locks = locks[:cell] + (0,) + locks[cell + 1 :]
+                elif op == _READ:
+                    new_temps = temps[:w] + (y[cell],) + temps[w + 1 :]
+                else:
+                    new_y = y[:cell] + (temps[w] + delta,) + y[cell + 1 :]
+                    new_temps = temps[:w] + (0,) + temps[w + 1 :]
+                successors.add((new_pcs, new_y, new_locks, new_temps))
+            if done:
+                terminals.add(y)
+            elif not enabled_any:
+                deadlock = True
+        layer = successors
 
     matches = (not deadlock) and terminals == {ts.sequential_result}
     return ExplorationReport(
-        states_visited=len(visited),
+        states_visited=visited,
         terminal_outputs=frozenset(terminals),
         deadlock_found=deadlock,
         matches_sequential=matches,
@@ -432,7 +460,11 @@ def test_flat_explorer_matches_nested_reference_at_every_cap():
             assert caught[0] == caught[1], (sync, cap)
             assert caught[0][0] == cap + 1
             terminals_seen.add(caught[0][1])
-        assert terminals_seen == set(range(len(full.terminal_outputs) + 1)), sync
+        # Every terminal is in the last layer, and the last state processed
+        # is one of them, so a cap below the state count misses at least one.
+        t = len(full.terminal_outputs)
+        assert terminals_seen == set(range(t)), sync
+        assert caught[0][1] == t - 1  # cap states_visited - 1
         assert explore(ts, max_states=full.states_visited) == full
 
 
@@ -452,3 +484,21 @@ def test_explore_holds_only_touched_columns():
     assert report.terminal_outputs == {ts.sequential_result}
     assert report.matches_sequential and not report.deadlock_found
     assert peak < 2_000_000, peak
+
+
+def test_explore_holds_two_layers_not_every_state():
+    # lock-4x4 visits 16,049 states; a set holding all of them takes over
+    # 2 MB, while any two adjacent layers stay under 0.1 MB.
+    rows, cols, cells, workers, sync, states = _BENCH_MODELS[2]
+    assert (rows, cols, workers, sync) == (4, 4, 4, "lock_per_cell")
+    m = coo_from_triplets(rows, cols, [(r, c, r + c) for r, c in cells])
+    ts = build_model([1, 2, 3, 4], m, workers, sync)
+    tracemalloc.start()
+    try:
+        report = explore(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.states_visited == states
+    assert report.matches_sequential and not report.deadlock_found
+    assert peak < 500_000, peak
