@@ -9,8 +9,9 @@ Two verification layers for the same loop:
   into private partial vectors, and a join barrier precedes a merge in
   worker-id order, so the result is race-free by construction: whenever
   it and ``multiply_seq`` both return, they are equal. Under claimed
-  policies a worker's partial sums depend on the schedule, so an
-  intermediate sum near 2^63 can overflow in one run and not in another.
+  policies workers take blocks of triplets from a shared counter, so a
+  worker's partial sums depend on the schedule, and an intermediate sum
+  near 2^63 can overflow in one run and not in another.
 
 * ``build_model``/``explore`` abstract the loop body ``y[c] += x[r]*v``
   into atomic actions and enumerate every interleaving of a small
@@ -27,7 +28,7 @@ import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 from .errors import ConfigError, DimensionError, ModelTooLargeError
@@ -100,23 +101,24 @@ def _chunks(nnz: int, workers: int) -> list[range]:
 
 
 class _ClaimCounter:
-    """Shared index dispenser: hands out 0..limit-1 exactly once each,
-    then ``limit`` to every later claim, so ``iter(claim, limit)`` ends
-    in every worker."""
+    """Shared block dispenser: hands out the starts 0, block, 2*block, ...
+    below ``limit``, so the blocks ``[start, min(start + block, limit))``
+    cover 0..limit-1 exactly once, then ``limit`` to every later claim,
+    so ``iter(claim, limit)`` ends in every worker."""
 
-    def __init__(self, limit: int) -> None:
+    def __init__(self, limit: int, block: int) -> None:
         self._next = 0
         self._limit = limit
+        self._block = block
         self._lock = threading.Lock()
 
     def claim(self) -> int:
         # Nothing is called while the lock is held; a shared iterator's
         # next() under it measured several times slower with two workers.
         with self._lock:
-            i = self._next
-            if i < self._limit:
-                self._next = i + 1
-            return i
+            start = self._next
+            self._next = min(start + self._block, self._limit)
+            return start
 
 
 def multiply_parallel(
@@ -130,9 +132,11 @@ def multiply_parallel(
     is raised, else partials are added onto worker 0's in worker-id order.
     static_chunks gives each of ``policy.workers`` workers one contiguous
     slice of the triplets. dynamic_stealing runs ``policy.workers``
-    workers, and per_element ``min(nnz, MAX_WORKERS)``, that claim one
-    triplet at a time from a shared counter; there a partial sum near the
-    int64 limit may overflow under one schedule and not under another.
+    workers, and per_element ``min(nnz, MAX_WORKERS)``, that claim blocks
+    of ``min(1024, max(1, nnz // (4 * workers)))`` triplets from a shared
+    counter: about four claims or more per worker, and one triplet per
+    claim for per_element below 256 triplets. There a partial sum near
+    the int64 limit may overflow under one schedule and not under another.
     """
     if len(x) != m.rows:
         raise DimensionError(f"vector length {len(x)} != matrix rows {m.rows}")
@@ -150,9 +154,14 @@ def multiply_parallel(
         chunks = _chunks(nnz, workers)  # islice, not a slice: no copy per chunk
         tasks = [islice(zip(rs, cs, vs), k.start, k.stop) for k in chunks]
     else:
-        counter = _ClaimCounter(nnz)
+        # The cap bounds each claim's three slice copies to 1024 pointers.
+        b = min(1024, max(1, nnz // (4 * workers or 1)))
+        counter = _ClaimCounter(nnz, b)
         tasks = [
-            map(lambda k: (rs[k], cs[k], vs[k]), iter(counter.claim, nnz))
+            chain.from_iterable(map(
+                lambda a: zip(rs[a:a + b], cs[a:a + b], vs[a:a + b]),
+                iter(counter.claim, nnz),
+            ))
             for _ in range(workers)
         ]
 

@@ -15,6 +15,7 @@ from oraclekit.parallel import (
     ExplorationReport,
     TransitionSystem,
     _chunks,
+    _ClaimCounter,
     build_model,
     explore,
     multiply_parallel,
@@ -87,6 +88,105 @@ def test_claim_counter_under_contention():
         sys.setswitchinterval(old)
     assert not runner.is_alive()
     assert got == [[nnz]]
+
+
+def test_claim_counter_hands_out_covering_blocks():
+    for limit, block, starts in ((10, 4, [0, 4, 8]), (8, 4, [0, 4]), (3, 1, [0, 1, 2]), (0, 4, [])):
+        counter = _ClaimCounter(limit, block)
+        assert list(iter(counter.claim, limit)) == starts
+        covered = [i for a in starts for i in range(a, min(a + block, limit))]
+        assert covered == list(range(limit))  # disjoint, ascending, last block partial
+        assert [counter.claim() for _ in range(3)] == [limit] * 3
+
+
+def _recorded_claims(monkeypatch):
+    """Every start any ``_ClaimCounter.claim`` returns, from all workers."""
+    claims = []
+    claim = _ClaimCounter.claim
+
+    def recording_claim(self):
+        start = claim(self)
+        claims.append(start)
+        return start
+
+    monkeypatch.setattr(_ClaimCounter, "claim", recording_claim)
+    return claims
+
+
+def test_stealing_claims_blocks_not_triplets(monkeypatch):
+    claims = _recorded_claims(monkeypatch)
+    nnz, workers = 20_000, 2
+    m = coo_from_triplets(nnz, 1, [(r, 1, 1) for r in range(1, nnz + 1)])
+    got = multiply_parallel([1] * nnz, m, AllocationPolicy.dynamic_stealing(workers))
+    assert got == [nnz]
+    # Blocks of 1024: ceil(nnz / 1024) block claims, then one final claim per worker.
+    assert len(claims) <= -(-nnz // 1024) + workers, len(claims)
+    assert len(set(claims)) == len(claims) - workers + 1  # no block claimed twice
+
+
+def test_per_element_claims_one_triplet_at_a_time(monkeypatch):
+    claims = _recorded_claims(monkeypatch)
+    x = list(range(1, 9))
+    m = coo_from_triplets(8, 8, [(r, c, r * c) for r in x for c in x])
+    assert multiply_parallel(x, m, AllocationPolicy.per_element()) == multiply_seq(x, m)
+    # 64 triplets, 64 workers: one claim per triplet, then each worker's final claim.
+    assert sorted(claims) == list(range(64)) + [64] * 64
+
+
+def test_claimed_blocks_past_the_generator_reach():
+    # A full 100x100 grid, 10,000 triplets: steal:2 claims blocks of 1024
+    # (the cap), steal:3 of 833 and per_element of 39, each ending in a
+    # partial block.
+    rng = random.Random(28)
+    x = [rng.randint(-999, 999) for _ in range(100)]
+    m = coo_from_triplets(100, 100, [(r, c, rng.choice((-1, 1)) * rng.randint(1, 999))
+                                     for r in range(1, 101) for c in range(1, 101)])
+    policies = (AllocationPolicy.dynamic_stealing(2), AllocationPolicy.dynamic_stealing(3),
+                AllocationPolicy.per_element())
+    want = multiply_seq(x, m)
+    for policy in policies:
+        assert multiply_parallel(x, m, policy) == want, policy
+    # An overflowing product at triplet 9,550, in a late block of each policy.
+    vals = list(m.vals)
+    vals[9_550] = INT64_MAX
+    x[95] = 2
+    big = coo_from_triplets(100, 100, zip(m.row_idx, m.col_idx, vals))
+    with pytest.raises(OverflowError) as seq:
+        multiply_seq(x, big)
+    assert str(seq.value) == "product at (96,51) overflows 64 bits"
+    for policy in policies:
+        with pytest.raises(OverflowError) as par:
+            multiply_parallel(x, big, policy)
+        assert str(par.value) == str(seq.value), policy
+
+
+def test_claimed_blocks_copy_no_more_than_static_chunks(monkeypatch):
+    # The wide spmv shape: 100,000 triplets over 100,000 columns. The merge
+    # sets the peak of the whole call, so each worker records the traced
+    # peak as it returns, and the largest is the peak up to the barrier.
+    # steal:2's slices of at most 1024 triplets per claim keep it level
+    # with chunks:2, which copies nothing; uncapped blocks of 12,500 would
+    # add about 600 KiB.
+    m = coo_from_triplets(1000, 100_000, [
+        (k // 100 + 1, k % 100 * 1000 + k // 100 + 1, k % 7 + 1) for k in range(100_000)
+    ])
+    x = [1] * 1000
+    peaks = {}
+
+    def recording_accumulate(y, x, triplets):
+        accumulate(y, x, triplets)
+        peaks[kind] = max(peaks.get(kind, 0), tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(parallel, "accumulate", recording_accumulate)
+    for policy in (AllocationPolicy.static_chunks(2), AllocationPolicy.dynamic_stealing(2)):
+        kind = policy.kind
+        multiply_parallel(x, m, policy)  # starts the pool threads untraced, records 0
+        tracemalloc.start()
+        try:
+            multiply_parallel(x, m, policy)
+        finally:
+            tracemalloc.stop()
+    assert peaks["dynamic_stealing"] <= peaks["static_chunks"] + 256 * 1024, peaks
 
 
 def test_parallel_equals_sequential_across_policies():
